@@ -79,13 +79,13 @@ struct ExperimentParams {
   /// Worker threads for the pooled lane (0 = hardware concurrency).
   unsigned workers = 0;
   /// Per-channel message coalescing at the transport edge (`--batch N`).
-  net::BatchConfig batch;
+  net::CoalesceConfig batch;
   /// Two-level datacenter topology (`--topology cells=K:wan-rtt=US`); the
   /// empty default keeps the flat cluster and byte-identical runs.
   topo::Topology topology;
   /// Cross-DC gateway mailbox coalescing (`--gateway on|off`; needs a
   /// multi-cell topology when enabled).
-  net::GatewayConfig gateway;
+  net::CoalesceConfig gateway;
 };
 
 /// The paper's partial-replication factor: p = 0.3·n, at least 1.

@@ -1,10 +1,8 @@
 #include "dsm/envelope.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "common/panic.hpp"
-#include "net/batching_transport.hpp"
 
 namespace causim::dsm {
 
@@ -93,40 +91,6 @@ Envelope Envelope::decode(const serial::Bytes& bytes, serial::ClockWidth cw) {
   std::optional<Envelope> e = try_decode(bytes, cw);
   CAUSIM_CHECK(e.has_value(), "malformed envelope (" << bytes.size() << " bytes)");
   return *std::move(e);
-}
-
-serial::Bytes Envelope::encode_batch(const std::vector<Envelope>& envelopes,
-                                     serial::ClockWidth cw) {
-  CAUSIM_CHECK(!envelopes.empty(), "a batch frame carries at least one message");
-  // Route through the coalescer with thresholds no append can trip, so
-  // this helper and the transport edge can never drift apart on framing.
-  net::BatchConfig config;
-  config.enabled = true;
-  config.max_messages = std::numeric_limits<std::uint32_t>::max();
-  config.max_bytes = std::numeric_limits<std::size_t>::max();
-  net::BatchCoalescer coalescer(config);
-  for (const Envelope& e : envelopes) coalescer.append(e.encode(cw));
-  std::optional<net::BatchCoalescer::Frame> frame = coalescer.flush();
-  CAUSIM_CHECK(frame.has_value(), "coalescer lost a non-empty batch");
-  return std::move(frame->bytes);
-}
-
-std::optional<std::vector<Envelope>> Envelope::try_decode_batch(
-    const serial::Bytes& frame, serial::ClockWidth cw) {
-  std::vector<Envelope> out;
-  bool sub_ok = true;
-  const bool frame_ok = net::BatchCoalescer::try_decode(
-      frame, [&](const std::uint8_t* data, std::size_t len) {
-        std::optional<Envelope> e =
-            Envelope::try_decode(serial::Bytes(data, data + len), cw);
-        if (!e.has_value()) {
-          sub_ok = false;
-          return;
-        }
-        out.push_back(std::move(*e));
-      });
-  if (!frame_ok || !sub_ok) return std::nullopt;
-  return out;
 }
 
 }  // namespace causim::dsm

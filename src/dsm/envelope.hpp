@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/message_kind.hpp"
@@ -66,21 +65,6 @@ struct Envelope {
   /// Strict variant for bytes the simulation itself produced: panics on
   /// malformed input.
   static Envelope decode(const serial::Bytes& bytes, serial::ClockWidth cw);
-
-  /// Batch framing (net::BatchCoalescer): one wire frame carrying several
-  /// length-prefixed envelopes, the coalesced format the batching
-  /// transport edge ships. Encodes with the same frame layout a
-  /// BatchCoalescer produces, so the property tests can cross-check both
-  /// producers byte for byte.
-  static serial::Bytes encode_batch(const std::vector<Envelope>& envelopes,
-                                    serial::ClockWidth cw);
-
-  /// Decodes a batch frame back into envelopes. Any malformed framing
-  /// (bad tag, truncated length prefix, trailing garbage) or any
-  /// sub-message failing try_decode yields nullopt — the whole frame is
-  /// rejected, never a partial batch.
-  static std::optional<std::vector<Envelope>> try_decode_batch(
-      const serial::Bytes& frame, serial::ClockWidth cw);
 };
 
 }  // namespace causim::dsm

@@ -42,6 +42,21 @@ void validate_reliable(const net::ReliableConfig& r, const std::string& where,
   }
 }
 
+/// Shared by EngineConfig::batch and EngineConfig::gateway — both layers
+/// run on the same coalescing core, so the threshold invariants are one.
+void validate_coalesce(const net::CoalesceConfig& c, const std::string& where,
+                       std::vector<std::string>& errors) {
+  if (c.max_messages < 1) {
+    errors.push_back(where + ".max_messages must be >= 1 (a frame needs at "
+                             "least one message to flush on)");
+  }
+  if (c.max_delay < 1) {
+    errors.push_back(where + ".max_delay must be >= 1us (the flush timer "
+                             "bounds how long a lone message waits; 0 would "
+                             "flush-on-send and defeat coalescing)");
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> validate(const EngineConfig& config) {
@@ -110,28 +125,7 @@ std::vector<std::string> validate(const EngineConfig& config) {
        << "site — set executor to ExecutorKind::kPooled or workers to 0";
     reject(os.str());
   }
-  if (config.batch.enabled) {
-    const net::BatchConfig& b = config.batch;
-    if (b.max_messages < 1) {
-      reject("batch.max_messages must be >= 1 (a frame needs at least one "
-             "message to flush on)");
-    }
-    if (b.max_bytes < net::BatchCoalescer::kFrameHeaderBytes +
-                          net::BatchCoalescer::kPerMessageBytes) {
-      std::ostringstream os;
-      os << "batch.max_bytes (" << b.max_bytes << ") is below the frame "
-         << "framing overhead ("
-         << net::BatchCoalescer::kFrameHeaderBytes +
-                net::BatchCoalescer::kPerMessageBytes
-         << " bytes) — every append would flush a degenerate batch of one";
-      reject(os.str());
-    }
-    if (b.max_delay < 1) {
-      reject("batch.max_delay must be >= 1us (the flush timer bounds how "
-             "long a lone message waits; 0 would flush-on-send and defeat "
-             "coalescing)");
-    }
-  }
+  if (config.batch.enabled) validate_coalesce(config.batch, "batch", errors);
   if (config.fault_plan.any() || config.reliable_channel ||
       config.topology.any_faults() || config.topology.any_reliable_override()) {
     validate_reliable(config.reliable_config, "reliable_config", errors);
@@ -170,26 +164,7 @@ std::vector<std::string> validate(const EngineConfig& config) {
          << "gateway";
       reject(os.str());
     }
-    const net::GatewayConfig& g = config.gateway;
-    if (g.max_messages < 1) {
-      reject("gateway.max_messages must be >= 1 (a mailbox needs at least "
-             "one message to flush on)");
-    }
-    if (g.max_bytes < net::GatewayCoalescer::kFrameHeaderBytes +
-                          net::GatewayCoalescer::kPerMessageBytes) {
-      std::ostringstream os;
-      os << "gateway.max_bytes (" << g.max_bytes << ") is below the mailbox "
-         << "framing overhead ("
-         << net::GatewayCoalescer::kFrameHeaderBytes +
-                net::GatewayCoalescer::kPerMessageBytes
-         << " bytes) — every append would flush a degenerate mailbox of one";
-      reject(os.str());
-    }
-    if (g.max_delay < 1) {
-      reject("gateway.max_delay must be >= 1us (the flush timer bounds how "
-             "long a lone cross-DC message waits; 0 would flush-on-send and "
-             "defeat coalescing)");
-    }
+    validate_coalesce(config.gateway, "gateway", errors);
   }
   return errors;
 }

@@ -16,8 +16,7 @@
 #include "common/ids.hpp"
 #include "dsm/placement.hpp"
 #include "faults/fault_plan.hpp"
-#include "net/batching_transport.hpp"
-#include "net/gateway_mailbox.hpp"
+#include "net/coalescer.hpp"
 #include "net/reliable_channel.hpp"
 #include "sim/latency.hpp"
 #include "topo/topology.hpp"
@@ -112,10 +111,10 @@ struct EngineConfig {
   /// silently ignored worker count would misreport every scaling sweep.
   unsigned workers = 0;
   /// Per-channel message coalescing at the transport edge (see
-  /// net::BatchConfig). Off by default; enabling it interposes a
+  /// net::BatchingTransport). Off by default; enabling it interposes a
   /// BatchingTransport above the reliability layer, so one wire frame
   /// carries a length-prefixed batch of protocol messages.
-  net::BatchConfig batch;
+  net::CoalesceConfig batch;
   /// Two-level datacenter topology (causim::topo): sites grouped into
   /// cells with per-scope link profiles. Empty (the default) keeps the
   /// flat single-profile cluster and runs stay byte-identical to the
@@ -124,12 +123,12 @@ struct EngineConfig {
   /// exclusive with latency_model), compiles per-scope faults/ARQ into the
   /// stack, and — when multi-cell — interposes the cross-DC gateway layer.
   topo::Topology topology;
-  /// Cross-DC gateway mailbox thresholds (net::GatewayConfig). The layer
+  /// Cross-DC gateway mailbox thresholds (see net::GatewayMailbox). The layer
   /// itself is built for any multi-cell topology (it carries the
   /// LAN/WAN-scope accounting); `gateway.enabled` additionally turns on
   /// mailbox coalescing through the cell gateways. Requires a multi-cell
   /// topology when enabled (validated).
-  net::GatewayConfig gateway;
+  net::CoalesceConfig gateway;
   /// Online telemetry (obs::live): when set, the stack interposes it in
   /// front of trace_sink (events flow through it and are forwarded), the
   /// visibility tracker runs, and — if its sample_interval is non-zero —

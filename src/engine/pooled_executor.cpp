@@ -130,21 +130,7 @@ void PooledExecutor::site_finished() {
   }
 }
 
-void PooledExecutor::drain() {
-  // Identical shutdown ladder to ThreadExecutor::drain — the substrate
-  // differs above the stack, not inside it: flush pending gateway
-  // mailboxes and batch frames (looping while in-flight enroute/reply
-  // traffic refills a mailbox), wait out the reliability layer, stop the
-  // timer, drain the wire.
-  do {
-    if (stack_.gateway() != nullptr) stack_.gateway()->flush_all();
-    if (stack_.batching() != nullptr) stack_.batching()->flush_all();
-    if (stack_.reliable() != nullptr) stack_.reliable()->wait_quiescent();
-    if (stack_.gateway() != nullptr) transport_.quiesce();
-  } while (stack_.gateway() != nullptr && !stack_.gateway()->quiescent());
-  if (stack_.timer() != nullptr) stack_.timer()->stop();
-  transport_.quiesce();
-}
+void PooledExecutor::drain() { drain_thread_stack(stack_, transport_); }
 
 void PooledExecutor::finish() {
   std::lock_guard life(life_mutex_);

@@ -144,16 +144,15 @@ void ThreadExecutor::play(ScheduleDriver& driver, const workload::Schedule& sche
   for (auto& t : apps) t.join();
 }
 
-void ThreadExecutor::drain() {
-  // All senders are done; wait for the network to drain. Shutdown order
-  // with the fault stack up: (0) the batching layer flushes every pending
-  // frame — the sites stopped sending, so after this the layers below
-  // hold every message, (1) the reliability layer reaches app-level
-  // quiescence (every packet delivered exactly once and acked —
+void drain_thread_stack(NodeStack& stack, net::ThreadTransport& wire) {
+  // Shutdown order with the fault stack up: (0) the coalescing layers
+  // flush every pending frame — the sites stopped sending, so after this
+  // the layers below hold every message, (1) the reliability layer reaches
+  // app-level quiescence (every packet delivered exactly once and acked —
   // retransmission timers still live to get it there), (2) the timer
   // stops, discarding pending callbacks (all droppable now: stale
-  // retransmits, delayed duplicates, empty batch flushes) so nothing
-  // races the transport teardown, (3) the wire drains.
+  // retransmits, delayed duplicates, empty flushes) so nothing races the
+  // transport teardown, (3) the wire drains.
   //
   // With the cross-DC gateway up, steps 0–1 loop: a mailbox can be
   // *refilled* mid-drain — an enroute frame still in flight lands at its
@@ -162,14 +161,16 @@ void ThreadExecutor::drain() {
   // down the stack and the senders have stopped, so the loop terminates
   // once the last reply made it through.
   do {
-    if (stack_.gateway() != nullptr) stack_.gateway()->flush_all();
-    if (stack_.batching() != nullptr) stack_.batching()->flush_all();
-    if (stack_.reliable() != nullptr) stack_.reliable()->wait_quiescent();
-    if (stack_.gateway() != nullptr) transport_.quiesce();
-  } while (stack_.gateway() != nullptr && !stack_.gateway()->quiescent());
-  if (stack_.timer() != nullptr) stack_.timer()->stop();
-  transport_.quiesce();
+    if (stack.gateway() != nullptr) stack.gateway()->flush_all();
+    if (stack.batching() != nullptr) stack.batching()->flush_all();
+    if (stack.reliable() != nullptr) stack.reliable()->wait_quiescent();
+    if (stack.gateway() != nullptr) wire.quiesce();
+  } while (stack.gateway() != nullptr && !stack.gateway()->quiescent());
+  if (stack.timer() != nullptr) stack.timer()->stop();
+  wire.quiesce();
 }
+
+void ThreadExecutor::drain() { drain_thread_stack(stack_, transport_); }
 
 void ThreadExecutor::finish() {
   stop_live_sampler();

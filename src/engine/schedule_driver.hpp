@@ -121,6 +121,12 @@ class SimExecutor final : public Executor {
   std::size_t sampler_events_ = 0;
 };
 
+/// The shutdown ladder both real-thread executors run from drain(), once
+/// every sender has stopped: flush the gateway mailboxes and the batch
+/// frames, wait for the reliability layer's quiescence (looping while a
+/// mailbox refills), stop the timer, drain the wire.
+void drain_thread_stack(NodeStack& stack, net::ThreadTransport& wire);
+
 /// Real-thread substrate: one application thread per site issues ops in
 /// order, sleeping out schedule gaps when time_scale > 0 and blocking on a
 /// latch until each op's completion fires. drain() runs the shared

@@ -5,105 +5,23 @@
 #include "common/panic.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_sink.hpp"
-#include "serial/reader.hpp"
 
 namespace causim::net {
 
-// ---------------------------------------------------------------------------
-// BatchCoalescer
-
-BatchCoalescer::BatchCoalescer(BatchConfig config) : config_(config) {}
-
-serial::Bytes BatchCoalescer::acquire() {
-  return pool_ != nullptr ? pool_->acquire() : serial::Bytes{};
-}
-
-void BatchCoalescer::recycle(serial::Bytes&& buffer) {
-  if (pool_ != nullptr) pool_->release(std::move(buffer));
-}
-
-std::optional<BatchCoalescer::Frame> BatchCoalescer::append(
-    serial::Bytes&& payload) {
-  if (pending_messages_ == 0) {
-    pending_ = acquire();
-    // Header: tag + count placeholder, patched at flush time.
-    pending_.push_back(kBatchFrame);
-    pending_.resize(kFrameHeaderBytes, 0);
-  }
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (std::size_t i = 0; i < kPerMessageBytes; ++i) {
-    pending_.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  pending_.insert(pending_.end(), payload.begin(), payload.end());
-  recycle(std::move(payload));
-  ++pending_messages_;
-  if (pending_messages_ >= config_.max_messages) return flush(Flush::kCount);
-  if (pending_.size() >= config_.max_bytes) return flush(Flush::kSize);
-  return std::nullopt;
-}
-
-std::optional<BatchCoalescer::Frame> BatchCoalescer::flush(Flush reason) {
-  if (pending_messages_ == 0) return std::nullopt;
-  const std::uint32_t count = pending_messages_;
-  for (std::size_t i = 0; i < 4; ++i) {
-    pending_[1 + i] = static_cast<std::uint8_t>(count >> (8 * i));
-  }
-  Frame frame;
-  frame.bytes = std::move(pending_);
-  frame.reason = reason;
-  frame.messages = count;
-  pending_ = serial::Bytes{};
-  pending_messages_ = 0;
-  ++frames_;
-  messages_ += count;
-  ++flushes_[static_cast<std::size_t>(reason)];
-  return frame;
-}
-
-bool BatchCoalescer::try_decode(
-    const serial::Bytes& frame,
-    const std::function<void(const std::uint8_t*, std::size_t)>& fn) {
-  // Two walks, zero scratch: the first validates the whole frame before
-  // the second delivers anything — a truncated tail must not hand the
-  // receiver a partial batch, and the hot receive path must stay
-  // allocation-free (test_buffer_pool.cpp counts).
-  {
-    serial::ByteReader r(frame);
-    if (r.get_u8() != kBatchFrame) return false;
-    const std::uint32_t count = r.get_u32();
-    if (!r.ok() || count == 0) return false;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t len = r.get_u32();
-      if (!r.ok() || r.remaining() < len) return false;
-      r.skip(len);
-    }
-    if (!r.ok() || !r.done()) return false;  // trailing garbage
-  }
-  serial::ByteReader r(frame);
-  r.get_u8();
-  const std::uint32_t count = r.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = r.get_u32();
-    fn(frame.data() + (frame.size() - r.remaining()), len);
-    r.skip(len);
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// BatchingTransport
-
 BatchingTransport::BatchingTransport(Transport& inner, TimerDriver& timer,
-                                     BatchConfig config)
-    : inner_(inner), timer_(timer), config_(config), n_(inner.size()) {
-  CAUSIM_CHECK(config_.enabled, "BatchingTransport built with batching off — "
-                                "skip the layer instead");
-  CAUSIM_CHECK(config_.max_messages >= 1 && config_.max_delay >= 1,
+                                     const CoalesceConfig& config)
+    : inner_(inner),
+      timer_(timer),
+      n_(inner.size()),
+      channels_(timer, config, kFraming,
+                std::vector<serial::Bytes>(static_cast<std::size_t>(n_) * n_),
+                [this](std::size_t slot, Frame&& frame) {
+                  ship(slot, std::move(frame));
+                }) {
+  CAUSIM_CHECK(config.enabled, "BatchingTransport built with batching off — "
+                               "skip the layer instead");
+  CAUSIM_CHECK(config.max_messages >= 1 && config.max_delay >= 1,
                "batch thresholds must be validated before assembly");
-  chans_.reserve(static_cast<std::size_t>(n_) * n_);
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n_) * n_; ++i) {
-    chans_.push_back(std::make_unique<Chan>(config_));
-  }
   handlers_.resize(n_, nullptr);
   for (SiteId i = 0; i < n_; ++i) inner_.attach(i, this);
 }
@@ -119,7 +37,7 @@ void BatchingTransport::set_trace_sink(obs::TraceSink* sink) {
 
 void BatchingTransport::set_buffer_pool(serial::BufferPool* pool) {
   pool_ = pool;
-  for (auto& chan : chans_) chan->coalescer.set_buffer_pool(pool);
+  channels_.set_buffer_pool(pool);
 }
 
 void BatchingTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
@@ -127,27 +45,12 @@ void BatchingTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
     std::lock_guard lock(stats_mutex_);
     ++sent_;
   }
-  const std::size_t idx = index(from, to);
-  Chan& chan = *chans_[idx];
-  std::unique_lock lock(chan.mutex);
-  std::optional<BatchCoalescer::Frame> frame =
-      chan.coalescer.append(std::move(bytes));
-  if (frame.has_value()) {
-    ship(from, to, std::move(*frame));
-    return;
-  }
-  if (!chan.timer_armed) {
-    // First message of a fresh frame: bound its wait. One timer per
-    // pending frame — the flag is cleared when the timer fires, and a
-    // threshold flush in between just makes the firing a no-op.
-    chan.timer_armed = true;
-    timer_.schedule(config_.max_delay,
-                    [this, from, to] { on_flush_timer(from, to); });
-  }
+  channels_.append(static_cast<std::size_t>(from) * n_ + to, std::move(bytes));
 }
 
-void BatchingTransport::ship(SiteId from, SiteId to,
-                             BatchCoalescer::Frame&& frame) {
+void BatchingTransport::ship(std::size_t slot, Frame&& frame) {
+  const auto from = static_cast<SiteId>(slot / n_);
+  const auto to = static_cast<SiteId>(slot % n_);
   if (trace_ != nullptr) {
     obs::TraceEvent e;
     e.type = obs::TraceEventType::kBatchFlush;
@@ -161,39 +64,22 @@ void BatchingTransport::ship(SiteId from, SiteId to,
   inner_.send(from, to, std::move(frame.bytes));
 }
 
-void BatchingTransport::on_flush_timer(SiteId from, SiteId to) {
-  Chan& chan = *chans_[index(from, to)];
-  std::unique_lock lock(chan.mutex);
-  chan.timer_armed = false;
-  std::optional<BatchCoalescer::Frame> frame =
-      chan.coalescer.flush(BatchCoalescer::Flush::kTimer);
-  if (frame.has_value()) ship(from, to, std::move(*frame));
-}
-
 void BatchingTransport::on_packet(Packet packet) {
   PacketHandler* handler = handlers_[packet.to];
   CAUSIM_CHECK(handler != nullptr,
                "batch frame for site " << packet.to << " with no handler");
-  // One-pointer capture so the std::function stays within its small-buffer
-  // optimization — the receive path must not allocate per frame.
-  struct Ctx {
-    const Packet* packet;
-    PacketHandler* handler;
-    serial::BufferPool* pool;
-    std::uint32_t unpacked = 0;
-  } ctx{&packet, handler, pool_};
-  const bool ok = BatchCoalescer::try_decode(
-      packet.bytes, [&ctx](const std::uint8_t* data, std::size_t len) {
-        Packet sub;
-        sub.from = ctx.packet->from;
-        sub.to = ctx.packet->to;
+  std::uint32_t unpacked = 0;
+  const bool ok = decode_frame(
+      packet.bytes, kFraming,
+      [](const std::uint8_t*, std::size_t) { return true; },
+      [&](const std::uint8_t* data, std::size_t len) {
         // Sub-messages keep the frame's channel seq: they share its slot
         // in the per-channel FIFO, and unpack order preserves send order.
-        sub.seq = ctx.packet->seq;
-        sub.bytes = ctx.pool != nullptr ? ctx.pool->copy(data, len)
-                                        : serial::Bytes(data, data + len);
-        ctx.handler->on_packet(std::move(sub));
-        ++ctx.unpacked;
+        handler->on_packet(Packet{packet.from, packet.to, packet.seq,
+                                  pool_ != nullptr
+                                      ? pool_->copy(data, len)
+                                      : serial::Bytes(data, data + len)});
+        ++unpacked;
       });
   if (!ok) {
     std::lock_guard lock(stats_mutex_);
@@ -202,19 +88,7 @@ void BatchingTransport::on_packet(Packet packet) {
   }
   if (pool_ != nullptr) pool_->release(std::move(packet.bytes));
   std::lock_guard lock(stats_mutex_);
-  delivered_ += ctx.unpacked;
-}
-
-void BatchingTransport::flush_all() {
-  for (SiteId from = 0; from < n_; ++from) {
-    for (SiteId to = 0; to < n_; ++to) {
-      Chan& chan = *chans_[index(from, to)];
-      std::unique_lock lock(chan.mutex);
-      std::optional<BatchCoalescer::Frame> frame =
-          chan.coalescer.flush(BatchCoalescer::Flush::kForced);
-      if (frame.has_value()) ship(from, to, std::move(*frame));
-    }
-  }
+  delivered_ += unpacked;
 }
 
 std::uint64_t BatchingTransport::packets_sent() const {
@@ -233,65 +107,15 @@ bool BatchingTransport::quiescent() const {
   return sent_ == delivered_;
 }
 
-std::uint64_t BatchingTransport::frames_sent() const {
-  std::uint64_t total = 0;
-  for (const auto& chan : chans_) {
-    std::lock_guard lock(chan->mutex);
-    total += chan->coalescer.frames();
-  }
-  return total;
-}
-
-std::uint64_t BatchingTransport::messages_batched() const {
-  std::uint64_t total = 0;
-  for (const auto& chan : chans_) {
-    std::lock_guard lock(chan->mutex);
-    total += chan->coalescer.messages();
-  }
-  return total;
-}
-
-std::uint64_t BatchingTransport::flushes(BatchCoalescer::Flush reason) const {
-  std::uint64_t total = 0;
-  for (const auto& chan : chans_) {
-    std::lock_guard lock(chan->mutex);
-    total += chan->coalescer.flushes(reason);
-  }
-  return total;
-}
-
 std::uint64_t BatchingTransport::malformed() const {
   std::lock_guard lock(stats_mutex_);
   return malformed_;
 }
 
-std::uint64_t BatchingTransport::buffered_messages() const {
-  std::uint64_t total = 0;
-  for (const auto& chan : chans_) {
-    std::lock_guard lock(chan->mutex);
-    total += chan->coalescer.buffered_messages();
-  }
-  return total;
-}
-
 void BatchingTransport::export_metrics(obs::MetricsRegistry& registry) const {
-  const std::uint64_t frames = frames_sent();
-  const std::uint64_t messages = messages_batched();
-  registry.counter("net.batch.frames.count").add(frames);
-  registry.counter("net.batch.messages.count").add(messages);
-  registry.counter("net.batch.flush_count.count")
-      .add(flushes(BatchCoalescer::Flush::kCount));
-  registry.counter("net.batch.flush_size.count")
-      .add(flushes(BatchCoalescer::Flush::kSize));
-  registry.counter("net.batch.flush_timer.count")
-      .add(flushes(BatchCoalescer::Flush::kTimer));
-  registry.counter("net.batch.flush_forced.count")
-      .add(flushes(BatchCoalescer::Flush::kForced));
+  channels_.export_metrics(registry, "net.batch");
+  registry.counter("net.batch.messages.count").add(messages_batched());
   registry.counter("net.batch.malformed.count").add(malformed());
-  registry.gauge("net.batch.avg_messages_per_frame")
-      .set(frames == 0 ? 0.0
-                       : static_cast<double>(messages) /
-                             static_cast<double>(frames));
 }
 
 }  // namespace causim::net

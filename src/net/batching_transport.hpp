@@ -1,38 +1,24 @@
-// BatchCoalescer / BatchingTransport — per-channel message coalescing at
-// the transport edge.
+// BatchingTransport — per-channel message coalescing at the transport edge.
 //
 // Per-message overhead dominates the thread-path wire: every protocol
 // message pays its own Envelope header plus — with the fault stack up — a
 // ReliableChannel DATA frame, an ACK, and a retransmission-timer slot.
 // PaRiS/Okapi-style deployments amortize that by batching cross-replica
 // traffic; this layer does the same. Senders keep writing one message per
-// send(), but the coalescer accumulates each (from, to) channel's payloads
-// into a single length-prefixed batch frame and hands the frame to the
-// inner transport when a threshold trips: message count, accumulated
-// bytes, or a flush timer (so a lone message never waits forever). The
-// receiving side splits the frame and delivers the sub-messages in order,
-// so per-channel FIFO is preserved end to end — messages only ever travel
-// in batches that were formed in send order and are unpacked in frame
-// order.
-//
-// BatchCoalescer is the pure per-channel state machine — no transport, no
-// timers, no locks — so property tests can drive the threshold boundaries
-// and the decode path directly (tests/test_envelope.cpp).
-// BatchingTransport composes n×n coalescers with an inner (typically
-// reliable) Transport and a TimerDriver into a drop-in net::Transport.
-// Like the rest of the frame path it recycles buffers through the shared
-// serial::BufferPool, keeping the zero-steady-state-allocation bound of
-// tests/test_buffer_pool.cpp.
+// send(), but each (from, to) channel's payloads accumulate in one slot of
+// a CoalescerTable (net/coalescer.hpp) and ship to the inner transport as a
+// single 0xB4 batch frame when a threshold trips. The receiving side splits
+// the frame and delivers the sub-messages in order, so per-channel FIFO is
+// preserved end to end — messages only ever travel in batches that were
+// formed in send order and are unpacked in frame order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/coalescer.hpp"
 #include "net/timer.hpp"
 #include "net/transport.hpp"
 #include "serial/buffer_pool.hpp"
@@ -44,101 +30,6 @@ class TraceSink;
 
 namespace causim::net {
 
-/// Coalescing thresholds, validated by engine::validate when enabled.
-struct BatchConfig {
-  /// Off by default: every send() passes straight through and a run is
-  /// byte-identical to one before the layer existed.
-  bool enabled = false;
-  /// Flush when a channel holds this many messages.
-  std::uint32_t max_messages = 16;
-  /// Flush when a channel's accumulated frame reaches this many bytes
-  /// (headers included). A single oversized message still ships — as a
-  /// batch of one — so this is a target, not a hard frame cap.
-  std::size_t max_bytes = 16 * 1024;
-  /// Flush a non-empty channel this long after its first buffered message
-  /// (µs, simulated or real per the TimerDriver). Bounds the latency a
-  /// message can sit waiting for company.
-  SimTime max_delay = 1 * kMillisecond;
-};
-
-class BatchCoalescer {
- public:
-  /// Batch frame tag; disjoint from ReliableChannel's 0xD1/0xA2/0xA3 and
-  /// from every Envelope kind byte, so a mis-routed frame is detected
-  /// rather than misparsed.
-  static constexpr std::uint8_t kBatchFrame = 0xB4;
-  /// u8 tag + u32 message count.
-  static constexpr std::size_t kFrameHeaderBytes = 5;
-  /// u32 length prefix per batched message.
-  static constexpr std::size_t kPerMessageBytes = 4;
-
-  /// Why a frame was flushed.
-  enum class Flush : std::uint8_t {
-    kCount = 0,  // max_messages reached
-    kSize,       // max_bytes reached
-    kTimer,      // flush timer fired
-    kForced,     // explicit flush (drain/shutdown)
-  };
-
-  explicit BatchCoalescer(BatchConfig config);
-
-  /// Frames are acquired from `pool` and consumed payloads released back
-  /// to it. Null (the default) falls back to plain allocation — the state
-  /// machine itself is unchanged.
-  void set_buffer_pool(serial::BufferPool* pool) { pool_ = pool; }
-
-  struct Frame {
-    serial::Bytes bytes;
-    Flush reason = Flush::kForced;
-    std::uint32_t messages = 0;
-  };
-
-  /// Appends one message payload to the pending frame (the payload buffer
-  /// is consumed and recycled). Returns the completed frame when this
-  /// append tripped the count or size threshold, nullopt while the channel
-  /// keeps accumulating. Count is checked before size when both trip at
-  /// once.
-  std::optional<Frame> append(serial::Bytes&& payload);
-
-  /// Flushes the pending frame (timer fired or the stack is draining);
-  /// nullopt when nothing is buffered.
-  std::optional<Frame> flush(Flush reason = Flush::kForced);
-
-  std::uint32_t buffered_messages() const { return pending_messages_; }
-  std::size_t buffered_bytes() const { return pending_.size(); }
-
-  // -- lifetime counters --
-  std::uint64_t frames() const { return frames_; }
-  std::uint64_t messages() const { return messages_; }
-  std::uint64_t flushes(Flush reason) const {
-    return flushes_[static_cast<std::size_t>(reason)];
-  }
-
-  /// Validates `frame` completely (tag, count, every length prefix, exact
-  /// trailing boundary) and then invokes `fn(data, len)` once per batched
-  /// message, in order. Returns false — without invoking `fn` at all — on
-  /// any truncation, unknown tag, count mismatch, or overrunning length:
-  /// the recoverable-wire-boundary policy of Envelope::try_decode applied
-  /// to the batch framing.
-  static bool try_decode(
-      const serial::Bytes& frame,
-      const std::function<void(const std::uint8_t*, std::size_t)>& fn);
-
- private:
-  serial::Bytes acquire();
-  void recycle(serial::Bytes&& buffer);
-
-  BatchConfig config_;
-  serial::BufferPool* pool_ = nullptr;
-  /// The frame under construction: header written on the first append, the
-  /// count patched in place at flush time.
-  serial::Bytes pending_;
-  std::uint32_t pending_messages_ = 0;
-  std::uint64_t frames_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t flushes_[4] = {0, 0, 0, 0};
-};
-
 /// Transport decorator batching each (from, to) channel's sends into
 /// coalesced frames. packets_sent()/packets_delivered() count app-level
 /// messages (one per outer send / one per handler invocation), so the
@@ -146,9 +37,13 @@ class BatchCoalescer {
 /// the batching boundary while the inner transport sees only frames.
 class BatchingTransport final : public Transport, public PacketHandler {
  public:
+  /// Batch frames carry no header; each entry is one message payload.
+  static constexpr Framing kFraming{0xB4, 0};
+
   /// Attaches itself as the inner transport's handler for every site, so
   /// construct the stack bottom-up and attach the real handlers here.
-  BatchingTransport(Transport& inner, TimerDriver& timer, BatchConfig config);
+  BatchingTransport(Transport& inner, TimerDriver& timer,
+                    const CoalesceConfig& config);
 
   void attach(SiteId site, PacketHandler* handler) override;
   void send(SiteId from, SiteId to, serial::Bytes bytes) override;
@@ -158,9 +53,9 @@ class BatchingTransport final : public Transport, public PacketHandler {
   /// Keeps the sink for kBatchFlush events and forwards it down the stack.
   void set_trace_sink(obs::TraceSink* sink) override;
 
-  /// Wires `pool` into every per-channel coalescer and recycles consumed
-  /// batch frames through it. Call before the first send; null disables
-  /// pooling (the default).
+  /// Wires `pool` into every per-channel slot and recycles consumed batch
+  /// frames through it. Call before the first send; null disables pooling
+  /// (the default).
   void set_buffer_pool(serial::BufferPool* pool);
 
   void on_packet(Packet packet) override;
@@ -169,48 +64,34 @@ class BatchingTransport final : public Transport, public PacketHandler {
   /// start of drain — all senders have stopped, so afterwards every
   /// message is in the inner transport and the layers below can be waited
   /// on as usual.
-  void flush_all();
+  void flush_all() { channels_.flush_all(); }
 
   /// Nothing buffered and every accepted message delivered.
   bool quiescent() const;
 
   // -- whole-layer counters (summed over channels) --
-  std::uint64_t frames_sent() const;
-  std::uint64_t messages_batched() const;
-  std::uint64_t flushes(BatchCoalescer::Flush reason) const;
+  std::uint64_t frames_sent() const { return channels_.frames(); }
+  std::uint64_t messages_batched() const { return channels_.messages(); }
+  std::uint64_t flushes(Flush reason) const { return channels_.flushes(reason); }
   /// Wire frames dropped as syntactically invalid instead of crashing.
   std::uint64_t malformed() const;
-  std::uint64_t buffered_messages() const;
+  std::uint64_t buffered_messages() const {
+    return channels_.buffered_messages();
+  }
 
   /// Folds the layer's counters into `registry` under net.batch.* —
   /// disjoint from both msg.* and net.reliable.*.
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  struct Chan {
-    std::mutex mutex;
-    BatchCoalescer coalescer;
-    bool timer_armed = false;
-    explicit Chan(const BatchConfig& config) : coalescer(config) {}
-  };
-
-  std::size_t index(SiteId from, SiteId to) const {
-    return static_cast<std::size_t>(from) * n_ + to;
-  }
-  /// Ships `frame` on the inner transport and traces the flush. Called
-  /// with the channel mutex held: the inner send must happen inside the
-  /// critical section that ordered the flush, or two racing flushes could
-  /// invert frame order and break per-channel FIFO. Safe because every
-  /// layer below releases its own locks before calling further down.
-  void ship(SiteId from, SiteId to, BatchCoalescer::Frame&& frame);
-  void on_flush_timer(SiteId from, SiteId to);
+  /// Ships channel `slot` = from * n + to on the inner transport and traces
+  /// the flush.
+  void ship(std::size_t slot, Frame&& frame);
 
   Transport& inner_;
   TimerDriver& timer_;
-  const BatchConfig config_;
   const SiteId n_;
-
-  std::vector<std::unique_ptr<Chan>> chans_;
+  CoalescerTable channels_;
   std::vector<PacketHandler*> handlers_;
 
   mutable std::mutex stats_mutex_;

@@ -5,148 +5,47 @@
 #include "common/panic.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_sink.hpp"
-#include "serial/reader.hpp"
 
 namespace causim::net {
 
-// ---------------------------------------------------------------------------
-// GatewayCoalescer
+namespace {
 
-GatewayCoalescer::GatewayCoalescer(GatewayConfig config,
-                                   std::uint16_t origin_cell,
-                                   std::uint16_t dest_cell)
-    : config_(config), origin_cell_(origin_cell), dest_cell_(dest_cell) {}
-
-serial::Bytes GatewayCoalescer::acquire() {
-  return pool_ != nullptr ? pool_->acquire() : serial::Bytes{};
-}
-
-void GatewayCoalescer::recycle(serial::Bytes&& buffer) {
-  if (pool_ != nullptr) pool_->release(std::move(buffer));
-}
-
-std::optional<GatewayCoalescer::Frame> GatewayCoalescer::append(
-    SiteId from, SiteId to, serial::Bytes&& payload) {
-  if (pending_messages_ == 0) {
-    pending_ = acquire();
-    // Header: tag + cells + count placeholder, the count patched at flush.
-    pending_.push_back(kMailboxFrame);
-    pending_.push_back(static_cast<std::uint8_t>(origin_cell_));
-    pending_.push_back(static_cast<std::uint8_t>(origin_cell_ >> 8));
-    pending_.push_back(static_cast<std::uint8_t>(dest_cell_));
-    pending_.push_back(static_cast<std::uint8_t>(dest_cell_ >> 8));
-    pending_.resize(kFrameHeaderBytes, 0);
-  }
-  // Entry: [len u32][from u16][to u16][payload], len covering the routing
-  // header so a decoder can skip entries without parsing them.
-  const auto len = static_cast<std::uint32_t>(payload.size() + 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    pending_.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-  }
-  pending_.push_back(static_cast<std::uint8_t>(from));
-  pending_.push_back(static_cast<std::uint8_t>(from >> 8));
-  pending_.push_back(static_cast<std::uint8_t>(to));
-  pending_.push_back(static_cast<std::uint8_t>(to >> 8));
-  pending_.insert(pending_.end(), payload.begin(), payload.end());
-  recycle(std::move(payload));
-  ++pending_messages_;
-  if (pending_messages_ >= config_.max_messages) return flush(Flush::kCount);
-  if (pending_.size() >= config_.max_bytes) return flush(Flush::kSize);
-  return std::nullopt;
-}
-
-std::optional<GatewayCoalescer::Frame> GatewayCoalescer::flush(Flush reason) {
-  if (pending_messages_ == 0) return std::nullopt;
-  const std::uint32_t count = pending_messages_;
-  for (std::size_t i = 0; i < 4; ++i) {
-    pending_[5 + i] = static_cast<std::uint8_t>(count >> (8 * i));
-  }
-  Frame frame;
-  frame.bytes = std::move(pending_);
-  frame.reason = reason;
-  frame.messages = count;
-  pending_ = serial::Bytes{};
-  pending_messages_ = 0;
-  ++frames_;
-  messages_ += count;
-  ++flushes_[static_cast<std::size_t>(reason)];
-  return frame;
-}
-
-bool GatewayCoalescer::try_decode(
-    const serial::Bytes& frame, std::uint16_t& origin_cell,
-    std::uint16_t& dest_cell,
-    const std::function<void(SiteId from, SiteId to, const std::uint8_t* data,
-                             std::size_t len)>& fn) {
-  // Two walks, zero scratch, like BatchCoalescer::try_decode: the first
-  // validates everything — tag, count, every length prefix and routing
-  // header, the exact trailing boundary — before the second delivers
-  // anything. A truncated or bit-flipped frame must never fan out a
-  // partial mailbox (tests/test_gateway.cpp fuzzes this).
-  {
-    serial::ByteReader r(frame);
-    if (r.get_u8() != kMailboxFrame) return false;
-    r.get_u16();  // origin cell
-    r.get_u16();  // dest cell
-    const std::uint32_t count = r.get_u32();
-    if (!r.ok() || count == 0) return false;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint32_t len = r.get_u32();
-      if (!r.ok() || len < 4 || r.remaining() < len) return false;
-      r.skip(len);
+/// The mailbox headers in slot order: slot oc * cells + dc carries the u16
+/// origin cell and the u16 destination cell.
+std::vector<serial::Bytes> mailbox_headers(std::size_t cells) {
+  std::vector<serial::Bytes> headers;
+  headers.reserve(cells * cells);
+  for (std::size_t oc = 0; oc < cells; ++oc) {
+    for (std::size_t dc = 0; dc < cells; ++dc) {
+      headers.push_back({static_cast<std::uint8_t>(oc),
+                         static_cast<std::uint8_t>(oc >> 8),
+                         static_cast<std::uint8_t>(dc),
+                         static_cast<std::uint8_t>(dc >> 8)});
     }
-    if (!r.ok() || !r.done()) return false;  // trailing garbage
   }
-  serial::ByteReader r(frame);
-  r.get_u8();
-  origin_cell = r.get_u16();
-  dest_cell = r.get_u16();
-  const std::uint32_t count = r.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t len = r.get_u32();
-    const SiteId from = r.get_site();
-    const SiteId to = r.get_site();
-    fn(from, to, frame.data() + (frame.size() - r.remaining()), len - 4);
-    r.skip(len - 4);
-  }
-  return true;
+  return headers;
 }
 
-serial::Bytes GatewayCoalescer::encode_enroute(SiteId to,
-                                               serial::Bytes&& payload,
-                                               serial::BufferPool* pool) {
-  serial::Bytes out = pool != nullptr ? pool->acquire() : serial::Bytes{};
-  out.reserve(kEnrouteHeaderBytes + payload.size());
-  out.push_back(kEnrouteFrame);
-  out.push_back(static_cast<std::uint8_t>(to));
-  out.push_back(static_cast<std::uint8_t>(to >> 8));
-  out.insert(out.end(), payload.begin(), payload.end());
-  if (pool != nullptr) pool->release(std::move(payload));
-  return out;
+/// Enroute wrap header: the tag and the u16 final destination.
+constexpr std::size_t kEnrouteHeaderBytes = 3;
+
+std::uint16_t u16_at(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 
-bool GatewayCoalescer::try_decode_enroute(const serial::Bytes& frame,
-                                          SiteId& to,
-                                          const std::uint8_t*& data,
-                                          std::size_t& len) {
-  if (frame.size() < kEnrouteHeaderBytes || frame[0] != kEnrouteFrame) {
-    return false;
-  }
-  to = static_cast<SiteId>(frame[1] | (frame[2] << 8));
-  data = frame.data() + kEnrouteHeaderBytes;
-  len = frame.size() - kEnrouteHeaderBytes;
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// GatewayMailbox
+}  // namespace
 
 GatewayMailbox::GatewayMailbox(Transport& inner, TimerDriver& timer,
-                               GatewayConfig config, CellRouting routing)
+                               const CoalesceConfig& config,
+                               CellRouting routing)
     : inner_(inner),
       timer_(timer),
-      config_(config),
-      routing_(std::move(routing)) {
+      coalescing_(config.enabled),
+      routing_(std::move(routing)),
+      mailboxes_(timer, config, kFraming, mailbox_headers(routing_.cells()),
+                 [this](std::size_t slot, Frame&& frame) {
+                   ship(slot, std::move(frame));
+                 }) {
   CAUSIM_CHECK(routing_.cells() >= 2,
                "GatewayMailbox over " << routing_.cells()
                                       << " cell(s) — skip the layer instead");
@@ -154,15 +53,6 @@ GatewayMailbox::GatewayMailbox(Transport& inner, TimerDriver& timer,
                "CellRouting covers " << routing_.cell_of.size()
                                      << " sites but the transport has "
                                      << inner_.size());
-  const std::size_t k = routing_.cells();
-  mailboxes_.reserve(k * k);
-  for (std::size_t oc = 0; oc < k; ++oc) {
-    for (std::size_t dc = 0; dc < k; ++dc) {
-      mailboxes_.push_back(std::make_unique<Mailbox>(
-          config_, static_cast<std::uint16_t>(oc),
-          static_cast<std::uint16_t>(dc)));
-    }
-  }
   handlers_.resize(inner_.size(), nullptr);
   for (SiteId i = 0; i < inner_.size(); ++i) inner_.attach(i, this);
 }
@@ -178,75 +68,59 @@ void GatewayMailbox::set_trace_sink(obs::TraceSink* sink) {
 
 void GatewayMailbox::set_buffer_pool(serial::BufferPool* pool) {
   pool_ = pool;
-  for (auto& mailbox : mailboxes_) mailbox->coalescer.set_buffer_pool(pool);
+  mailboxes_.set_buffer_pool(pool);
 }
 
 void GatewayMailbox::send(SiteId from, SiteId to, serial::Bytes bytes) {
   const bool wan = !routing_.same_cell(from, to);
+  const std::size_t oc = routing_.cell_of[from];
+  const SiteId gw = routing_.gateways[oc];
   {
     std::lock_guard lock(stats_mutex_);
     ++sent_;
     if (wan) {
       ++wan_messages_;
       wan_bytes_ += bytes.size();
+      // Without coalescing a cross-cell send still counts as one WAN frame
+      // at this layer, so the ext_geo A/B compares apples.
+      if (!coalescing_) ++wan_passthrough_;
+      if (coalescing_ && from != gw) ++enroute_;
     } else {
       ++lan_messages_;
       lan_bytes_ += bytes.size();
     }
   }
-  if (!wan) {
+  if (!wan || !coalescing_) {
     inner_.send(from, to, std::move(bytes));
     return;
   }
-  if (!config_.enabled) {
-    // Pass-through A/B baseline: direct delivery, but the frame still
-    // counts as one WAN frame at this layer so ext_geo compares apples.
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++wan_passthrough_;
-    }
-    inner_.send(from, to, std::move(bytes));
-    return;
-  }
-  const std::size_t oc = routing_.cell_of[from];
-  const std::size_t dc = routing_.cell_of[to];
-  const SiteId gw = routing_.gateways[oc];
   if (from == gw) {
     // The gateway's own cross-cell traffic joins the mailbox directly.
-    mailbox_append(oc, dc, from, to, std::move(bytes));
+    mailbox_append(oc, routing_.cell_of[to], from, to, std::move(bytes));
     return;
   }
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++enroute_;
-  }
-  inner_.send(from, gw,
-              GatewayCoalescer::encode_enroute(to, std::move(bytes), pool_));
+  serial::Bytes wrap = pool_ != nullptr ? pool_->acquire() : serial::Bytes{};
+  wrap.reserve(kEnrouteHeaderBytes + bytes.size());
+  wrap.push_back(kEnrouteTag);
+  wrap.push_back(static_cast<std::uint8_t>(to));
+  wrap.push_back(static_cast<std::uint8_t>(to >> 8));
+  wrap.insert(wrap.end(), bytes.begin(), bytes.end());
+  if (pool_ != nullptr) pool_->release(std::move(bytes));
+  inner_.send(from, gw, std::move(wrap));
 }
 
 void GatewayMailbox::mailbox_append(std::size_t oc, std::size_t dc,
                                     SiteId from, SiteId to,
                                     serial::Bytes&& payload) {
-  Mailbox& mb = *mailboxes_[mailbox_index(oc, dc)];
-  std::unique_lock lock(mb.mutex);
-  std::optional<GatewayCoalescer::Frame> frame =
-      mb.coalescer.append(from, to, std::move(payload));
-  if (frame.has_value()) {
-    ship(oc, dc, std::move(*frame));
-    return;
-  }
-  if (!mb.timer_armed) {
-    // First message of a fresh mailbox frame: bound its wait. One timer
-    // per pending frame, same discipline as BatchingTransport — a
-    // threshold flush in between makes the firing a no-op.
-    mb.timer_armed = true;
-    timer_.schedule(config_.max_delay,
-                    [this, oc, dc] { on_flush_timer(oc, dc); });
-  }
+  const std::uint8_t route[4] = {
+      static_cast<std::uint8_t>(from), static_cast<std::uint8_t>(from >> 8),
+      static_cast<std::uint8_t>(to), static_cast<std::uint8_t>(to >> 8)};
+  mailboxes_.append(oc * routing_.cells() + dc, std::move(payload), route);
 }
 
-void GatewayMailbox::ship(std::size_t oc, std::size_t dc,
-                          GatewayCoalescer::Frame&& frame) {
+void GatewayMailbox::ship(std::size_t slot, Frame&& frame) {
+  const std::size_t oc = slot / routing_.cells();
+  const std::size_t dc = slot % routing_.cells();
   const SiteId gw_from = routing_.gateways[oc];
   const SiteId gw_to = routing_.gateways[dc];
   if (trace_ != nullptr) {
@@ -264,16 +138,21 @@ void GatewayMailbox::ship(std::size_t oc, std::size_t dc,
   inner_.send(gw_from, gw_to, std::move(frame.bytes));
 }
 
-void GatewayMailbox::on_flush_timer(std::size_t oc, std::size_t dc) {
-  Mailbox& mb = *mailboxes_[mailbox_index(oc, dc)];
-  std::unique_lock lock(mb.mutex);
-  mb.timer_armed = false;
-  std::optional<GatewayCoalescer::Frame> frame =
-      mb.coalescer.flush(GatewayCoalescer::Flush::kTimer);
-  if (frame.has_value()) ship(oc, dc, std::move(*frame));
-}
-
-void GatewayMailbox::deliver(Packet&& packet) {
+void GatewayMailbox::on_packet(Packet packet) {
+  // The layer's three frame shapes are disjoint in their first byte:
+  // Envelope kinds are 0–2, the enroute tag is 0xB6, the mailbox tag 0xB5
+  // (and the lower layers' 0xB4/0xD1/0xA2/0xA3 never surface here). An
+  // empty or unrecognized-tag packet is plain app traffic and passes
+  // through — only a *claimed* gateway frame that fails validation counts
+  // as malformed.
+  if (!packet.bytes.empty() && packet.bytes[0] == kEnrouteTag) {
+    on_enroute(std::move(packet));
+    return;
+  }
+  if (!packet.bytes.empty() && packet.bytes[0] == kFraming.tag) {
+    on_mailbox(std::move(packet));
+    return;
+  }
   PacketHandler* handler = handlers_[packet.to];
   CAUSIM_CHECK(handler != nullptr,
                "gateway delivery for site " << packet.to << " with no handler");
@@ -282,128 +161,90 @@ void GatewayMailbox::deliver(Packet&& packet) {
   ++delivered_;
 }
 
-void GatewayMailbox::on_packet(Packet packet) {
-  // The layer's three frame shapes are disjoint in their first byte:
-  // Envelope kinds are 0–2, the enroute tag is 0xB6, the mailbox tag 0xB5
-  // (and the lower layers' 0xB4/0xD1/0xA2/0xA3 never surface here). An
-  // empty or unrecognized-tag packet is plain app traffic and passes
-  // through — only a *claimed* gateway frame that fails validation counts
-  // as malformed.
-  if (!packet.bytes.empty() &&
-      packet.bytes[0] == GatewayCoalescer::kEnrouteFrame) {
-    SiteId final_to = kInvalidSite;
-    const std::uint8_t* data = nullptr;
-    std::size_t len = 0;
-    if (!GatewayCoalescer::try_decode_enroute(packet.bytes, final_to, data,
-                                              len) ||
-        final_to >= inner_.size() ||
-        routing_.gateways[routing_.cell_of[packet.to]] != packet.to ||
-        routing_.same_cell(packet.to, final_to)) {
-      std::lock_guard lock(stats_mutex_);
-      ++malformed_;
-      return;
-    }
-    serial::Bytes payload = pool_ != nullptr ? pool_->copy(data, len)
-                                             : serial::Bytes(data, data + len);
-    const SiteId origin = packet.from;
-    if (pool_ != nullptr) pool_->release(std::move(packet.bytes));
-    mailbox_append(routing_.cell_of[packet.to], routing_.cell_of[final_to],
-                   origin, final_to, std::move(payload));
+void GatewayMailbox::on_enroute(Packet&& packet) {
+  // Only a non-gateway site of this gateway's own cell may use it as its
+  // enroute hop, and only towards another cell. A sender from another cell
+  // would put a foreign origin into this cell's mailbox, and the peer
+  // gateway would then reject the whole mailbox frame — every valid entry
+  // with it.
+  const SiteId gw = packet.to;
+  const serial::Bytes& bytes = packet.bytes;
+  const SiteId final_to =
+      bytes.size() >= kEnrouteHeaderBytes ? u16_at(&bytes[1]) : kInvalidSite;
+  if (final_to >= inner_.size() ||
+      routing_.gateways[routing_.cell_of[gw]] != gw || packet.from == gw ||
+      !routing_.same_cell(packet.from, gw) ||
+      routing_.same_cell(gw, final_to)) {
+    count_malformed();
     return;
   }
-  if (!packet.bytes.empty() &&
-      packet.bytes[0] == GatewayCoalescer::kMailboxFrame) {
-    // The routing sanity of the *header* is checked before any decode so a
-    // well-formed frame that landed at the wrong site still delivers
-    // nothing (try_decode already guarantees that for malformed bytes).
-    const auto peek_u16 = [&packet](std::size_t at) {
-      return static_cast<std::uint16_t>(packet.bytes[at] |
-                                        (packet.bytes[at + 1] << 8));
-    };
-    if (packet.bytes.size() < GatewayCoalescer::kFrameHeaderBytes ||
-        peek_u16(3) >= routing_.cells() ||
-        routing_.gateways[peek_u16(3)] != packet.to) {
-      std::lock_guard lock(stats_mutex_);
-      ++malformed_;
-      return;
-    }
-    // Entry routing headers are wire bytes too: a validation-only decode
-    // pass rejects any entry whose endpoints fall outside the cluster or
-    // outside the frame's cell pair *before* the delivery pass runs, so a
-    // corrupted entry mid-frame can never fan out a partial mailbox.
-    std::uint16_t origin_cell = 0;
-    std::uint16_t dest_cell = 0;
-    struct Scan {
-      const GatewayMailbox* self;
-      const std::uint16_t* origin_cell;
-      const std::uint16_t* dest_cell;
-      bool routable = true;
-    } scan{this, &origin_cell, &dest_cell};
-    const bool well_formed = GatewayCoalescer::try_decode(
-        packet.bytes, origin_cell, dest_cell,
-        [&scan](SiteId from, SiteId to, const std::uint8_t*, std::size_t) {
-          const CellRouting& r = scan.self->routing_;
-          scan.routable = scan.routable && from < r.cell_of.size() &&
-                          to < r.cell_of.size() &&
-                          r.cell_of[from] == *scan.origin_cell &&
-                          r.cell_of[to] == *scan.dest_cell;
-        });
-    if (!well_formed || origin_cell >= routing_.cells() || !scan.routable) {
-      std::lock_guard lock(stats_mutex_);
-      ++malformed_;
-      return;
-    }
-    // One-pointer capture keeps the std::function inside its small-buffer
-    // optimization — the fan-out path must not allocate per frame.
-    struct Ctx {
-      GatewayMailbox* self;
-      const Packet* packet;
-      std::uint32_t unpacked = 0;
-    } ctx{this, &packet};
-    const bool ok = GatewayCoalescer::try_decode(
-        packet.bytes, origin_cell, dest_cell,
-        [&ctx](SiteId from, SiteId to, const std::uint8_t* data,
-               std::size_t len) {
-          Packet sub;
-          sub.from = from;
-          sub.to = to;
-          // Entries keep the mailbox frame's channel seq: they share its
-          // slot in the gateway-pair FIFO, and append order preserves
-          // per-origin send order.
-          sub.seq = ctx.packet->seq;
-          sub.bytes = ctx.self->pool_ != nullptr
-                          ? ctx.self->pool_->copy(data, len)
-                          : serial::Bytes(data, data + len);
-          PacketHandler* handler = ctx.self->handlers_[sub.to];
-          CAUSIM_CHECK(handler != nullptr, "gateway fan-out for site "
-                                               << sub.to << " with no handler");
-          handler->on_packet(std::move(sub));
-          ++ctx.unpacked;
-        });
-    if (!ok) {
-      std::lock_guard lock(stats_mutex_);
-      ++malformed_;
-      return;
-    }
-    if (pool_ != nullptr) pool_->release(std::move(packet.bytes));
-    std::lock_guard lock(stats_mutex_);
-    delivered_ += ctx.unpacked;
-    return;
-  }
-  deliver(std::move(packet));
+  serial::Bytes payload = copy(bytes.data() + kEnrouteHeaderBytes,
+                               bytes.size() - kEnrouteHeaderBytes);
+  const SiteId origin = packet.from;
+  if (pool_ != nullptr) pool_->release(std::move(packet.bytes));
+  mailbox_append(routing_.cell_of[gw], routing_.cell_of[final_to], origin,
+                 final_to, std::move(payload));
 }
 
-void GatewayMailbox::flush_all() {
-  const std::size_t k = routing_.cells();
-  for (std::size_t oc = 0; oc < k; ++oc) {
-    for (std::size_t dc = 0; dc < k; ++dc) {
-      Mailbox& mb = *mailboxes_[mailbox_index(oc, dc)];
-      std::unique_lock lock(mb.mutex);
-      std::optional<GatewayCoalescer::Frame> frame =
-          mb.coalescer.flush(GatewayCoalescer::Flush::kForced);
-      if (frame.has_value()) ship(oc, dc, std::move(*frame));
-    }
+void GatewayMailbox::on_mailbox(Packet&& packet) {
+  // The header's routing is checked before any decode: the frame must come
+  // from its origin cell's gateway and land at its destination cell's
+  // gateway. The decode then checks that every entry's endpoints lie in
+  // that cell pair before anything is delivered, so a corrupted entry
+  // mid-frame can never fan out a partial mailbox.
+  const serial::Bytes& bytes = packet.bytes;
+  const std::size_t cells = routing_.cells();
+  if (bytes.size() < 1 + kFraming.header_bytes) {
+    count_malformed();
+    return;
   }
+  const std::uint16_t oc = u16_at(&bytes[1]);
+  const std::uint16_t dc = u16_at(&bytes[3]);
+  if (oc >= cells || dc >= cells || routing_.gateways[oc] != packet.from ||
+      routing_.gateways[dc] != packet.to) {
+    count_malformed();
+    return;
+  }
+  const auto routable = [this, oc, dc](const std::uint8_t* entry,
+                                       std::size_t len) {
+    if (len < 4) return false;
+    const SiteId from = u16_at(entry);
+    const SiteId to = u16_at(entry + 2);
+    return from < routing_.cell_of.size() && to < routing_.cell_of.size() &&
+           routing_.cell_of[from] == oc && routing_.cell_of[to] == dc;
+  };
+  std::uint32_t unpacked = 0;
+  const bool ok = decode_frame(
+      bytes, kFraming, routable,
+      [&](const std::uint8_t* entry, std::size_t len) {
+        const SiteId to = u16_at(entry + 2);
+        PacketHandler* handler = handlers_[to];
+        CAUSIM_CHECK(handler != nullptr,
+                     "gateway fan-out for site " << to << " with no handler");
+        // Entries keep the mailbox frame's channel seq: they share its slot
+        // in the gateway-pair FIFO, and append order preserves per-origin
+        // send order.
+        handler->on_packet(
+            Packet{u16_at(entry), to, packet.seq, copy(entry + 4, len - 4)});
+        ++unpacked;
+      });
+  if (!ok) {
+    count_malformed();
+    return;
+  }
+  if (pool_ != nullptr) pool_->release(std::move(packet.bytes));
+  std::lock_guard lock(stats_mutex_);
+  delivered_ += unpacked;
+}
+
+void GatewayMailbox::count_malformed() {
+  std::lock_guard lock(stats_mutex_);
+  ++malformed_;
+}
+
+serial::Bytes GatewayMailbox::copy(const std::uint8_t* data, std::size_t len) {
+  return pool_ != nullptr ? pool_->copy(data, len)
+                          : serial::Bytes(data, data + len);
 }
 
 std::uint64_t GatewayMailbox::packets_sent() const {
@@ -443,27 +284,9 @@ std::uint64_t GatewayMailbox::wan_bytes() const {
 }
 
 std::uint64_t GatewayMailbox::wan_frames() const {
-  std::uint64_t total = mailbox_frames();
+  const std::uint64_t total = mailbox_frames();
   std::lock_guard lock(stats_mutex_);
   return total + wan_passthrough_;
-}
-
-std::uint64_t GatewayMailbox::mailbox_frames() const {
-  std::uint64_t total = 0;
-  for (const auto& mb : mailboxes_) {
-    std::lock_guard lock(mb->mutex);
-    total += mb->coalescer.frames();
-  }
-  return total;
-}
-
-std::uint64_t GatewayMailbox::mailbox_messages() const {
-  std::uint64_t total = 0;
-  for (const auto& mb : mailboxes_) {
-    std::lock_guard lock(mb->mutex);
-    total += mb->coalescer.messages();
-  }
-  return total;
 }
 
 std::uint64_t GatewayMailbox::enroute_messages() const {
@@ -476,48 +299,16 @@ std::uint64_t GatewayMailbox::malformed() const {
   return malformed_;
 }
 
-std::uint64_t GatewayMailbox::buffered_messages() const {
-  std::uint64_t total = 0;
-  for (const auto& mb : mailboxes_) {
-    std::lock_guard lock(mb->mutex);
-    total += mb->coalescer.buffered_messages();
-  }
-  return total;
-}
-
-std::uint64_t GatewayMailbox::flushes(GatewayCoalescer::Flush reason) const {
-  std::uint64_t total = 0;
-  for (const auto& mb : mailboxes_) {
-    std::lock_guard lock(mb->mutex);
-    total += mb->coalescer.flushes(reason);
-  }
-  return total;
-}
-
 void GatewayMailbox::export_metrics(obs::MetricsRegistry& registry) const {
   registry.counter("msg.lan.count").add(lan_messages());
   registry.counter("msg.lan.bytes").add(lan_bytes());
   registry.counter("msg.wan.count").add(wan_messages());
   registry.counter("msg.wan.bytes").add(wan_bytes());
-  const std::uint64_t frames = mailbox_frames();
-  const std::uint64_t messages = mailbox_messages();
+  mailboxes_.export_metrics(registry, "net.gateway");
   registry.counter("net.gateway.wan_frames.count").add(wan_frames());
-  registry.counter("net.gateway.frames.count").add(frames);
-  registry.counter("net.gateway.frame_messages.count").add(messages);
+  registry.counter("net.gateway.frame_messages.count").add(mailbox_messages());
   registry.counter("net.gateway.enroute.count").add(enroute_messages());
-  registry.counter("net.gateway.flush_count.count")
-      .add(flushes(GatewayCoalescer::Flush::kCount));
-  registry.counter("net.gateway.flush_size.count")
-      .add(flushes(GatewayCoalescer::Flush::kSize));
-  registry.counter("net.gateway.flush_timer.count")
-      .add(flushes(GatewayCoalescer::Flush::kTimer));
-  registry.counter("net.gateway.flush_forced.count")
-      .add(flushes(GatewayCoalescer::Flush::kForced));
   registry.counter("net.gateway.malformed.count").add(malformed());
-  registry.gauge("net.gateway.avg_messages_per_frame")
-      .set(frames == 0 ? 0.0
-                       : static_cast<double>(messages) /
-                             static_cast<double>(frames));
 }
 
 }  // namespace causim::net

@@ -1,29 +1,25 @@
-// GatewayCoalescer / GatewayMailbox — cross-datacenter mailbox routing at
-// the top of the transport stack (the hive-style inter-cluster mailbox of
-// ROADMAP's geo-replication item).
+// GatewayMailbox — cross-datacenter mailbox routing at the top of the
+// transport stack (the hive-style inter-cluster mailbox of ROADMAP's
+// geo-replication item).
 //
 // With a two-level topology (topo::Topology) every cross-cell protocol
 // message would otherwise pay its own WAN frame. This layer lets each cell
 // designate a *gateway* site that aggregates its cell's outbound cross-DC
 // traffic: a sender hands a cross-cell message to its own gateway (an
 // intra-cell "enroute" hop, skipped when the sender is the gateway), the
-// gateway appends it to a per-destination-cell mailbox, and the mailbox
-// ships as one *mailbox frame* over the WAN link when a threshold trips —
-// message count, accumulated bytes, or a flush timer. The receiving
-// gateway validates the whole frame, then fans the messages out locally in
-// frame order (direct handler delivery, like BatchingTransport unpacking).
+// gateway appends it to a per-destination-cell mailbox — one slot of a
+// CoalescerTable (net/coalescer.hpp) — and the mailbox ships as one
+// *mailbox frame* over the WAN link when a threshold trips. The receiving
+// gateway validates the whole frame, then hands each entry straight to its
+// destination site's handler in frame order.
 //
-// Wire format (all little-endian), reusing the 0xB4 coalescing layout with
-// a cell-routing header:
+// Wire format (all little-endian):
 //
 //   mailbox frame:  [0xB5][origin_cell u16][dest_cell u16][count u32]
 //                   then per message [len u32][from u16][to u16][payload]
-//                   (len covers the 4 routing bytes + payload);
+//                   (len covers the 4 routing bytes + payload) — the
+//                   core's frame layout with a cell-pair header;
 //   enroute frame:  [0xB6][to u16][payload] — sender -> own gateway.
-//
-// Both tags are disjoint from every other frame first byte on the wire
-// (Envelope kinds 0–2, ReliableChannel 0xD1/0xA2/0xA3, BatchCoalescer
-// 0xB4), so a mis-routed frame is detected rather than misparsed.
 //
 // FIFO per origin site is preserved end to end: a (s, t) cross-cell pair's
 // messages all take the fixed route s -> gw(s) -> gw(t) -> t, and every
@@ -31,20 +27,18 @@
 // mailbox appends in arrival order, the gw(s) -> gw(t) channel ships
 // frames in flush order, and fan-out walks each frame in append order.
 //
-// With coalescing off (GatewayConfig::enabled = false) the layer is a
+// With coalescing off (CoalesceConfig::enabled = false) the layer is a
 // counting pass-through: every send goes directly to its destination, but
 // the scope-split msg.{lan,wan}.* accounting still runs — that is the
 // A/B baseline lane of bench/ext_geo.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/coalescer.hpp"
 #include "net/timer.hpp"
 #include "net/transport.hpp"
 #include "serial/buffer_pool.hpp"
@@ -55,22 +49,6 @@ class TraceSink;
 }  // namespace causim::obs
 
 namespace causim::net {
-
-/// Cross-DC mailbox thresholds, validated by engine::validate.
-struct GatewayConfig {
-  /// Coalesce cross-cell traffic through the cell gateways. Off (the
-  /// default) keeps direct site-to-site delivery; the layer then only
-  /// splits the msg.{lan,wan}.* accounting by scope.
-  bool enabled = false;
-  /// Ship a mailbox when it holds this many messages.
-  std::uint32_t max_messages = 16;
-  /// Ship when the accumulated frame reaches this many bytes (headers
-  /// included). A single oversized message still ships as a frame of one.
-  std::size_t max_bytes = 16 * 1024;
-  /// Ship a non-empty mailbox this long after its first buffered message
-  /// (µs, simulated or real per the TimerDriver).
-  SimTime max_delay = 1 * kMillisecond;
-};
 
 /// Site → cell map plus per-cell gateway designation, precomputed from a
 /// validated topo::Topology (see Topology::routing). Lives here so the
@@ -85,101 +63,6 @@ struct CellRouting {
   bool same_cell(SiteId a, SiteId b) const { return cell_of[a] == cell_of[b]; }
 };
 
-/// The pure per-mailbox state machine — no transport, no timers, no locks
-/// — mirroring BatchCoalescer so property tests can drive the framing and
-/// decode boundaries directly (tests/test_gateway.cpp).
-class GatewayCoalescer {
- public:
-  /// Mailbox frame tag (gateway -> gateway).
-  static constexpr std::uint8_t kMailboxFrame = 0xB5;
-  /// Enroute frame tag (sender -> own gateway).
-  static constexpr std::uint8_t kEnrouteFrame = 0xB6;
-  /// u8 tag + u16 origin cell + u16 dest cell + u32 message count.
-  static constexpr std::size_t kFrameHeaderBytes = 9;
-  /// u32 length prefix + u16 from + u16 to per mailbox message.
-  static constexpr std::size_t kPerMessageBytes = 8;
-  /// u8 tag + u16 final destination.
-  static constexpr std::size_t kEnrouteHeaderBytes = 3;
-
-  /// Why a mailbox shipped (same taxonomy as BatchCoalescer::Flush).
-  enum class Flush : std::uint8_t {
-    kCount = 0,  // max_messages reached
-    kSize,       // max_bytes reached
-    kTimer,      // flush timer fired
-    kForced,     // explicit flush (drain/shutdown)
-  };
-
-  /// One mailbox aggregates origin_cell's traffic towards dest_cell.
-  GatewayCoalescer(GatewayConfig config, std::uint16_t origin_cell,
-                   std::uint16_t dest_cell);
-
-  /// Frames are acquired from `pool` and consumed payloads released back to
-  /// it; null falls back to plain allocation.
-  void set_buffer_pool(serial::BufferPool* pool) { pool_ = pool; }
-
-  struct Frame {
-    serial::Bytes bytes;
-    Flush reason = Flush::kForced;
-    std::uint32_t messages = 0;
-  };
-
-  /// Appends one (from, to, payload) message to the pending frame (the
-  /// payload buffer is consumed and recycled). Returns the completed frame
-  /// when this append tripped the count or size threshold.
-  std::optional<Frame> append(SiteId from, SiteId to, serial::Bytes&& payload);
-
-  /// Ships the pending frame (timer fired or the stack is draining);
-  /// nullopt when the mailbox is empty.
-  std::optional<Frame> flush(Flush reason = Flush::kForced);
-
-  std::uint32_t buffered_messages() const { return pending_messages_; }
-  std::size_t buffered_bytes() const { return pending_.size(); }
-
-  // -- lifetime counters --
-  std::uint64_t frames() const { return frames_; }
-  std::uint64_t messages() const { return messages_; }
-  std::uint64_t flushes(Flush reason) const {
-    return flushes_[static_cast<std::size_t>(reason)];
-  }
-
-  /// Validates a mailbox frame completely (tag, cells, count, every length
-  /// prefix and routing header, exact trailing boundary) and then invokes
-  /// `fn(from, to, data, len)` once per message in append order. Returns
-  /// false — without invoking `fn` at all — on any violation: a truncated
-  /// or corrupted frame must never deliver a partial mailbox.
-  static bool try_decode(
-      const serial::Bytes& frame, std::uint16_t& origin_cell,
-      std::uint16_t& dest_cell,
-      const std::function<void(SiteId from, SiteId to, const std::uint8_t* data,
-                               std::size_t len)>& fn);
-
-  /// Wraps `payload` for the sender -> gateway hop. Acquires from `pool`
-  /// when non-null and consumes (recycles) the payload buffer.
-  static serial::Bytes encode_enroute(SiteId to, serial::Bytes&& payload,
-                                      serial::BufferPool* pool);
-
-  /// Splits an enroute frame into its final destination and payload view
-  /// (into `frame`'s storage — zero copy). False on truncation/bad tag.
-  static bool try_decode_enroute(const serial::Bytes& frame, SiteId& to,
-                                 const std::uint8_t*& data, std::size_t& len);
-
- private:
-  serial::Bytes acquire();
-  void recycle(serial::Bytes&& buffer);
-
-  GatewayConfig config_;
-  std::uint16_t origin_cell_;
-  std::uint16_t dest_cell_;
-  serial::BufferPool* pool_ = nullptr;
-  /// The frame under construction: header written on the first append, the
-  /// count patched in place at flush time.
-  serial::Bytes pending_;
-  std::uint32_t pending_messages_ = 0;
-  std::uint64_t frames_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t flushes_[4] = {0, 0, 0, 0};
-};
-
 /// Transport decorator routing cross-cell traffic through per-cell gateway
 /// mailboxes. The topmost decorator — sites send through it, and it sits
 /// above BatchingTransport so an intra-cell enroute hop can itself be
@@ -188,11 +71,17 @@ class GatewayCoalescer {
 /// boundary.
 class GatewayMailbox final : public Transport, public PacketHandler {
  public:
+  /// Mailbox frames (gateway -> gateway) carry the u16 origin and u16
+  /// destination cell as their header.
+  static constexpr Framing kFraming{0xB5, 4};
+  /// Enroute frame tag (sender -> own gateway).
+  static constexpr std::uint8_t kEnrouteTag = 0xB6;
+
   /// Attaches itself as the inner transport's handler for every site;
   /// construct the stack bottom-up and attach the real handlers here.
   /// `routing` must cover inner.size() sites across >= 2 cells.
-  GatewayMailbox(Transport& inner, TimerDriver& timer, GatewayConfig config,
-                 CellRouting routing);
+  GatewayMailbox(Transport& inner, TimerDriver& timer,
+                 const CoalesceConfig& config, CellRouting routing);
 
   void attach(SiteId site, PacketHandler* handler) override;
   void send(SiteId from, SiteId to, serial::Bytes bytes) override;
@@ -211,8 +100,8 @@ class GatewayMailbox final : public Transport, public PacketHandler {
   /// Ships every non-empty mailbox. Executors call this at the start of
   /// drain — note a flush can strand *new* enroute arrivals in a mailbox,
   /// so thread-path drains loop flush_all + inner quiescence until
-  /// quiescent() (see ThreadExecutor::drain).
-  void flush_all();
+  /// quiescent() (see engine::drain_thread_stack).
+  void flush_all() { mailboxes_.flush_all(); }
 
   /// Nothing buffered in any mailbox and every accepted message delivered.
   bool quiescent() const;
@@ -228,17 +117,20 @@ class GatewayMailbox final : public Transport, public PacketHandler {
   /// denominator of the ext_geo A/B.
   std::uint64_t wan_frames() const;
   /// Mailbox frames shipped / messages inside them (0 when pass-through).
-  std::uint64_t mailbox_frames() const;
-  std::uint64_t mailbox_messages() const;
+  std::uint64_t mailbox_frames() const { return mailboxes_.frames(); }
+  std::uint64_t mailbox_messages() const { return mailboxes_.messages(); }
   /// Messages relayed through an enroute hop (sender was not its gateway).
   std::uint64_t enroute_messages() const;
-  /// Wire frames dropped as syntactically invalid instead of crashing.
+  /// Wire frames dropped as invalid — syntactically, or routed where they
+  /// cannot have come from — instead of crashing.
   std::uint64_t malformed() const;
-  std::uint64_t buffered_messages() const;
-  std::uint64_t flushes(GatewayCoalescer::Flush reason) const;
+  std::uint64_t buffered_messages() const {
+    return mailboxes_.buffered_messages();
+  }
+  std::uint64_t flushes(Flush reason) const { return mailboxes_.flushes(reason); }
 
   const CellRouting& routing() const { return routing_; }
-  bool coalescing() const { return config_.enabled; }
+  bool coalescing() const { return coalescing_; }
 
   /// Folds the layer's counters into `registry` under net.gateway.* plus
   /// the scope-split msg.{lan,wan}.* — both disjoint from the per-kind
@@ -246,33 +138,22 @@ class GatewayMailbox final : public Transport, public PacketHandler {
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  struct Mailbox {
-    std::mutex mutex;
-    GatewayCoalescer coalescer;
-    bool timer_armed = false;
-    Mailbox(const GatewayConfig& config, std::uint16_t oc, std::uint16_t dc)
-        : coalescer(config, oc, dc) {}
-  };
-
-  std::size_t mailbox_index(std::size_t oc, std::size_t dc) const {
-    return oc * routing_.cells() + dc;
-  }
-  /// Appends to the (oc -> dc) mailbox and ships on threshold; arms the
-  /// flush timer for a fresh frame.
+  /// Appends to the (oc -> dc) mailbox.
   void mailbox_append(std::size_t oc, std::size_t dc, SiteId from, SiteId to,
                       serial::Bytes&& payload);
-  /// Ships `frame` over the gateway -> gateway channel. Called with the
-  /// mailbox mutex held (same FIFO rationale as BatchingTransport::ship).
-  void ship(std::size_t oc, std::size_t dc, GatewayCoalescer::Frame&& frame);
-  void on_flush_timer(std::size_t oc, std::size_t dc);
-  void deliver(Packet&& packet);
+  /// Ships mailbox `slot` = oc * cells + dc over the gateway -> gateway
+  /// channel and traces it.
+  void ship(std::size_t slot, Frame&& frame);
+  void on_enroute(Packet&& packet);
+  void on_mailbox(Packet&& packet);
+  void count_malformed();
+  serial::Bytes copy(const std::uint8_t* data, std::size_t len);
 
   Transport& inner_;
   TimerDriver& timer_;
-  const GatewayConfig config_;
+  const bool coalescing_;
   const CellRouting routing_;
-
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  CoalescerTable mailboxes_;
   std::vector<PacketHandler*> handlers_;
 
   mutable std::mutex stats_mutex_;

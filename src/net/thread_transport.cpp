@@ -230,7 +230,13 @@ void ThreadTransport::stop() {
     std::lock_guard lock(state_mutex_);
     stopping_ = true;
   }
-  for (auto& inbox : inboxes_) inbox->cv.notify_all();
+  for (auto& inbox : inboxes_) {
+    // stopping_ is not guarded by the inbox mutex, so a receipt thread may
+    // have read it as false without being asleep yet. Taking the mutex waits
+    // that window out; otherwise the notify is lost and the join never ends.
+    { std::lock_guard lock(inbox->mutex); }
+    inbox->cv.notify_all();
+  }
   wire_cv_.notify_all();
   for (auto& t : receivers_) t.join();
   receivers_.clear();

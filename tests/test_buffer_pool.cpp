@@ -176,10 +176,8 @@ TEST(BufferPool, CoalescingRoundTripIsAllocationFreeOnceWarm) {
   // flushing the batch, decoding it and copying every sub-message back
   // out of the pool touches the heap zero times.
   BufferPool pool;
-  net::BatchConfig config;
-  config.enabled = true;
-  config.max_messages = 8;
-  net::BatchCoalescer coalescer(config);
+  net::Coalescer coalescer(net::BatchingTransport::kFraming, {},
+                           /*max_messages=*/8);
   coalescer.set_buffer_pool(&pool);
 
   dsm::Envelope env;
@@ -193,7 +191,7 @@ TEST(BufferPool, CoalescingRoundTripIsAllocationFreeOnceWarm) {
   env.meta.assign(96, 0x5C);
 
   const auto round = [&] {
-    std::optional<net::BatchCoalescer::Frame> frame;
+    std::optional<net::Frame> frame;
     for (int i = 0; i < 8; ++i) {
       ByteWriter w(ClockWidth::k8Bytes, pool.acquire());
       env.encode_into(w);
@@ -205,8 +203,10 @@ TEST(BufferPool, CoalescingRoundTripIsAllocationFreeOnceWarm) {
     // Receive side: every sub-message is a pooled copy, recycled like
     // SiteRuntime recycles what it is handed; the frame itself recycles
     // too.
-    net::BatchCoalescer::try_decode(
-        frame->bytes, [&pool](const std::uint8_t* data, std::size_t len) {
+    net::decode_frame(
+        frame->bytes, net::BatchingTransport::kFraming,
+        [](const std::uint8_t*, std::size_t) { return true; },
+        [&pool](const std::uint8_t* data, std::size_t len) {
           pool.release(pool.copy(data, len));
         });
     pool.release(std::move(frame->bytes));
@@ -234,7 +234,7 @@ TEST(BufferPool, BatchedReliableStackMissesStayFlatAcrossLongRun) {
   net::SimTransport wire(simulator, latency, 2, 1);
   net::SimTimerDriver timer(simulator);
   net::ReliableTransport reliable(wire, timer);
-  net::BatchConfig config;
+  net::CoalesceConfig config;
   config.enabled = true;
   config.max_messages = 10;
   config.max_delay = kMillisecond;

@@ -150,10 +150,6 @@ TEST(EngineConfigValidation, RejectsDegenerateBatchThresholds) {
   EXPECT_TRUE(mentions(validate(c), "batch.max_messages"));
   c.batch.max_messages = 16;
 
-  c.batch.max_bytes = 4;  // below the frame header + one length prefix
-  EXPECT_TRUE(mentions(validate(c), "batch.max_bytes"));
-  c.batch.max_bytes = 16 * 1024;
-
   c.batch.max_delay = 0;
   EXPECT_TRUE(mentions(validate(c), "batch.max_delay"));
   c.batch.max_delay = kMillisecond;

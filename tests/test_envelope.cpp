@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "dsm/envelope.hpp"
-#include "net/batching_transport.hpp"
 #include "sim/rng.hpp"
 
 namespace causim::dsm {
@@ -245,236 +244,6 @@ TEST(EnvelopeFuzz, RandomEnvelopeRoundTrip) {
       EXPECT_EQ(d->write, e.write);
     }
   }
-}
-
-// ---- batch framing (net::BatchCoalescer + Envelope batch helpers) ----
-
-std::vector<Envelope> mixed_batch() {
-  std::vector<Envelope> batch;
-  Envelope sm;
-  sm.kind = MessageKind::kSM;
-  sm.sender = 3;
-  sm.var = 12;
-  sm.value = Value{5, 120};
-  sm.write = WriteId{3, 44};
-  sm.meta = serial::Bytes(21, 0xAA);
-  batch.push_back(sm);
-  Envelope fm;
-  fm.kind = MessageKind::kFM;
-  fm.sender = 1;
-  fm.var = 2;
-  fm.fetch_seq = 999;
-  fm.record = false;
-  batch.push_back(fm);
-  Envelope rm;
-  rm.kind = MessageKind::kRM;
-  rm.sender = 2;
-  rm.var = 8;
-  rm.value = Value{6, 33};
-  rm.write = WriteId{2, 10};
-  rm.fetch_seq = 1000;
-  rm.meta = serial::Bytes(9, 0x55);
-  batch.push_back(rm);
-  return batch;
-}
-
-/// A coalescer whose thresholds no append can trip (builds frames
-/// flush-on-demand, like Envelope::encode_batch does internally).
-net::BatchConfig untrippable() {
-  net::BatchConfig config;
-  config.enabled = true;
-  config.max_messages = 1u << 30;
-  config.max_bytes = static_cast<std::size_t>(1) << 40;
-  return config;
-}
-
-TEST(EnvelopeBatch, MixedKindsRoundTrip) {
-  const auto batch = mixed_batch();
-  for (const serial::ClockWidth cw :
-       {serial::ClockWidth::k4Bytes, serial::ClockWidth::k8Bytes}) {
-    const serial::Bytes frame = Envelope::encode_batch(batch, cw);
-    const auto decoded = Envelope::try_decode_batch(frame, cw);
-    ASSERT_TRUE(decoded.has_value());
-    ASSERT_EQ(decoded->size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ((*decoded)[i].kind, batch[i].kind) << i;
-      EXPECT_EQ((*decoded)[i].sender, batch[i].sender) << i;
-      EXPECT_EQ((*decoded)[i].var, batch[i].var) << i;
-      EXPECT_EQ((*decoded)[i].meta, batch[i].meta) << i;
-      if (batch[i].kind != MessageKind::kFM) {
-        EXPECT_EQ((*decoded)[i].value, batch[i].value) << i;
-        EXPECT_EQ((*decoded)[i].write, batch[i].write) << i;
-      }
-    }
-  }
-}
-
-TEST(EnvelopeBatch, HelperAndCoalescerProduceIdenticalFrames) {
-  // The transport edge builds frames through BatchCoalescer::append/flush;
-  // Envelope::encode_batch must emit byte-identical framing, or the
-  // property tests here would validate a format the wire never carries.
-  const auto batch = mixed_batch();
-  const auto cw = serial::ClockWidth::k4Bytes;
-  net::BatchCoalescer coalescer(untrippable());
-  for (const Envelope& e : batch) {
-    EXPECT_FALSE(coalescer.append(e.encode(cw)).has_value());
-  }
-  const auto frame = coalescer.flush(net::BatchCoalescer::Flush::kForced);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->messages, batch.size());
-  EXPECT_EQ(frame->bytes, Envelope::encode_batch(batch, cw));
-
-  // Pin the wire layout itself: tag byte, then a little-endian u32 count,
-  // then per-message little-endian u32 length prefixes.
-  const serial::Bytes& bytes = frame->bytes;
-  ASSERT_GE(bytes.size(), net::BatchCoalescer::kFrameHeaderBytes);
-  EXPECT_EQ(bytes[0], net::BatchCoalescer::kBatchFrame);
-  const auto count = static_cast<std::uint32_t>(bytes[1]) |
-                     static_cast<std::uint32_t>(bytes[2]) << 8 |
-                     static_cast<std::uint32_t>(bytes[3]) << 16 |
-                     static_cast<std::uint32_t>(bytes[4]) << 24;
-  EXPECT_EQ(count, batch.size());
-  const auto first_len = static_cast<std::uint32_t>(bytes[5]) |
-                         static_cast<std::uint32_t>(bytes[6]) << 8 |
-                         static_cast<std::uint32_t>(bytes[7]) << 16 |
-                         static_cast<std::uint32_t>(bytes[8]) << 24;
-  EXPECT_EQ(first_len, batch[0].encode(cw).size());
-}
-
-TEST(EnvelopeBatch, RejectsMalformedFramingWithoutPartialDelivery) {
-  const auto cw = serial::ClockWidth::k4Bytes;
-  const serial::Bytes good = Envelope::encode_batch(mixed_batch(), cw);
-
-  // Wrong tag.
-  serial::Bytes bad_tag = good;
-  bad_tag[0] = 0xD1;  // a ReliableChannel DATA frame, not a batch
-  EXPECT_FALSE(Envelope::try_decode_batch(bad_tag, cw).has_value());
-
-  // Count patched above the actual message count.
-  serial::Bytes bad_count = good;
-  bad_count[1] = static_cast<std::uint8_t>(bad_count[1] + 1);
-  EXPECT_FALSE(Envelope::try_decode_batch(bad_count, cw).has_value());
-
-  // Trailing garbage after the last message.
-  serial::Bytes trailing = good;
-  trailing.push_back(0x00);
-  EXPECT_FALSE(Envelope::try_decode_batch(trailing, cw).has_value());
-
-  // The two-pass decoder must validate the WHOLE frame before delivering
-  // anything: a frame whose last message is truncated yields no callback
-  // at all, never the valid prefix.
-  serial::Bytes truncated = good;
-  truncated.pop_back();
-  std::size_t delivered = 0;
-  EXPECT_FALSE(net::BatchCoalescer::try_decode(
-      truncated, [&](const std::uint8_t*, std::size_t) { ++delivered; }));
-  EXPECT_EQ(delivered, 0u);
-}
-
-TEST(EnvelopeBatchFuzz, TruncationAndBitFlipsNeverCrash) {
-  const auto cw = serial::ClockWidth::k4Bytes;
-  const serial::Bytes frame = Envelope::encode_batch(mixed_batch(), cw);
-  // Every truncation length: reject or survive, never crash (ASan guards
-  // the out-of-bounds reads a sloppy length-prefix walk would make).
-  for (std::size_t len = 0; len < frame.size(); ++len) {
-    const serial::Bytes head(frame.begin(),
-                             frame.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_FALSE(Envelope::try_decode_batch(head, cw).has_value())
-        << "truncated frame of " << len << " bytes decoded";
-  }
-  // Seeded bit flips: any surviving decode must re-encode cleanly.
-  sim::Pcg32 rng(4242);
-  for (int trial = 0; trial < 2000; ++trial) {
-    serial::Bytes mutated = frame;
-    const int flips = 1 + static_cast<int>(rng.uniform_int(0, 3));
-    for (int f = 0; f < flips; ++f) {
-      const auto pos = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
-      mutated[pos] = static_cast<std::uint8_t>(rng.next_u32());
-    }
-    const auto decoded = Envelope::try_decode_batch(mutated, cw);
-    if (decoded.has_value()) {
-      for (const Envelope& e : *decoded) (void)e.encode(cw);
-    }
-  }
-}
-
-TEST(BatchCoalescer, CountThresholdTripsExactlyOnTheNthAppend) {
-  net::BatchConfig config = untrippable();
-  config.max_messages = 3;
-  net::BatchCoalescer coalescer(config);
-  const auto payload = [] {
-    Envelope fm;
-    fm.kind = MessageKind::kFM;
-    fm.sender = 1;
-    fm.var = 2;
-    return fm.encode(serial::ClockWidth::k4Bytes);
-  };
-  EXPECT_FALSE(coalescer.append(payload()).has_value());
-  EXPECT_FALSE(coalescer.append(payload()).has_value());
-  const auto frame = coalescer.append(payload());
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->reason, net::BatchCoalescer::Flush::kCount);
-  EXPECT_EQ(frame->messages, 3u);
-  EXPECT_EQ(coalescer.buffered_messages(), 0u);
-  EXPECT_EQ(coalescer.flushes(net::BatchCoalescer::Flush::kCount), 1u);
-  EXPECT_EQ(coalescer.flushes(net::BatchCoalescer::Flush::kSize), 0u);
-  EXPECT_EQ(coalescer.flushes(net::BatchCoalescer::Flush::kTimer), 0u);
-}
-
-TEST(BatchCoalescer, SizeThresholdTripsExactlyWhenCrossed) {
-  Envelope fm;
-  fm.kind = MessageKind::kFM;
-  fm.sender = 1;
-  fm.var = 2;
-  const serial::Bytes one = fm.encode(serial::ClockWidth::k4Bytes);
-  const std::size_t framed =
-      net::BatchCoalescer::kPerMessageBytes + one.size();
-
-  net::BatchConfig config = untrippable();
-  // Boundary: exactly two framed messages fit the header + 2·framed
-  // budget, so the second append reaches (not exceeds) the limit and
-  // must flush; one message stays strictly below it.
-  config.max_bytes = net::BatchCoalescer::kFrameHeaderBytes + 2 * framed;
-  net::BatchCoalescer coalescer(config);
-  EXPECT_FALSE(coalescer.append(serial::Bytes(one)).has_value());
-  const auto frame = coalescer.append(serial::Bytes(one));
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->reason, net::BatchCoalescer::Flush::kSize);
-  EXPECT_EQ(frame->messages, 2u);
-  EXPECT_EQ(frame->bytes.size(), config.max_bytes);
-  EXPECT_EQ(coalescer.flushes(net::BatchCoalescer::Flush::kSize), 1u);
-
-  // An oversized single message still ships — as a batch of one.
-  net::BatchConfig tiny = untrippable();
-  tiny.max_bytes = net::BatchCoalescer::kFrameHeaderBytes +
-                   net::BatchCoalescer::kPerMessageBytes;
-  net::BatchCoalescer one_shot(tiny);
-  const auto single = one_shot.append(serial::Bytes(one));
-  ASSERT_TRUE(single.has_value());
-  EXPECT_EQ(single->reason, net::BatchCoalescer::Flush::kSize);
-  EXPECT_EQ(single->messages, 1u);
-}
-
-TEST(BatchCoalescer, TimerFlushDrainsOnceThenGoesIdle) {
-  net::BatchCoalescer coalescer(untrippable());
-  // Nothing buffered: a timer firing on an idle channel is a no-op.
-  EXPECT_FALSE(coalescer.flush(net::BatchCoalescer::Flush::kTimer).has_value());
-
-  Envelope fm;
-  fm.kind = MessageKind::kFM;
-  fm.sender = 1;
-  fm.var = 2;
-  EXPECT_FALSE(coalescer.append(fm.encode(serial::ClockWidth::k4Bytes)).has_value());
-  const auto frame = coalescer.flush(net::BatchCoalescer::Flush::kTimer);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->reason, net::BatchCoalescer::Flush::kTimer);
-  EXPECT_EQ(frame->messages, 1u);
-  // Exactly once: the channel is empty again.
-  EXPECT_FALSE(coalescer.flush(net::BatchCoalescer::Flush::kTimer).has_value());
-  EXPECT_EQ(coalescer.flushes(net::BatchCoalescer::Flush::kTimer), 1u);
-  EXPECT_EQ(coalescer.frames(), 1u);
-  EXPECT_EQ(coalescer.messages(), 1u);
 }
 
 }  // namespace

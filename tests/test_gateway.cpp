@@ -1,20 +1,10 @@
-// GatewayCoalescer framing + GatewayMailbox routing (causim::net) and the
-// cross-DC causal-conformance matrix.
-//
-// Three layers of pressure:
-//   * framing properties on the pure coalescer: every appended message
-//     comes back from try_decode byte-exact in append order, thresholds
-//     (count/size/timer/forced) account every flush, and the enroute wrap
-//     round-trips;
-//   * adversarial frames: every single-byte truncation and every
-//     single-byte corruption of a valid mailbox frame either rejects with
-//     zero delivered entries or decodes the full message count — a
-//     partial mailbox is never delivered;
-//   * the conformance matrix: all four protocols over {2, 3} cells with
-//     WAN drops underneath the gateway must stay causally consistent and
-//     send exactly the per-kind messages of the gateway-off run of the
-//     same seed (the mailbox batches the wire, never the protocol), under
-//     the DES and under the pooled thread executor.
+// GatewayMailbox routing (causim::net) and the cross-DC causal-conformance
+// matrix: all four protocols over {2, 3} cells with WAN drops underneath the
+// gateway must stay causally consistent and send exactly the per-kind
+// messages of the gateway-off run of the same seed (the mailbox batches the
+// wire, never the protocol), under the DES and under the pooled thread
+// executor. The mailbox framing itself is exercised by test_coalescer.cpp,
+// its wire bytes and malformed-input handling by test_coalescing_wire.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -26,227 +16,11 @@
 #include "dsm/cluster.hpp"
 #include "dsm/thread_cluster.hpp"
 #include "net/gateway_mailbox.hpp"
-#include "sim/rng.hpp"
 #include "topo/topology.hpp"
 #include "workload/schedule.hpp"
 
 namespace causim {
 namespace {
-
-using net::GatewayCoalescer;
-using net::GatewayConfig;
-
-GatewayConfig big_thresholds() {
-  GatewayConfig config;
-  config.enabled = true;
-  config.max_messages = 1 << 20;  // nothing trips unless a test asks
-  config.max_bytes = 1 << 28;
-  return config;
-}
-
-serial::Bytes payload_of(std::uint64_t seed, std::size_t len) {
-  sim::Pcg32 rng(seed, /*stream=*/7);
-  serial::Bytes out(len);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-  return out;
-}
-
-struct Decoded {
-  SiteId from;
-  SiteId to;
-  serial::Bytes payload;
-};
-
-/// try_decode into a vector; returns nullopt on reject (and asserts the
-/// callback was never invoked in that case).
-std::optional<std::vector<Decoded>> decode_all(const serial::Bytes& frame,
-                                               std::uint16_t* oc = nullptr,
-                                               std::uint16_t* dc = nullptr) {
-  std::vector<Decoded> out;
-  std::uint16_t origin = 0;
-  std::uint16_t dest = 0;
-  const bool ok = GatewayCoalescer::try_decode(
-      frame, origin, dest,
-      [&](SiteId from, SiteId to, const std::uint8_t* data, std::size_t len) {
-        out.push_back(Decoded{from, to, serial::Bytes(data, data + len)});
-      });
-  if (!ok) {
-    EXPECT_TRUE(out.empty()) << "rejected frame delivered " << out.size()
-                             << " entries — partial delivery";
-    return std::nullopt;
-  }
-  if (oc != nullptr) *oc = origin;
-  if (dc != nullptr) *dc = dest;
-  return out;
-}
-
-// ---- framing round trips ----
-
-TEST(GatewayCoalescer, RoundTripsMessagesInAppendOrder) {
-  GatewayCoalescer box(big_thresholds(), /*origin_cell=*/2, /*dest_cell=*/5);
-  std::vector<Decoded> sent;
-  for (std::uint64_t i = 0; i < 37; ++i) {
-    const auto from = static_cast<SiteId>(i % 7);
-    const auto to = static_cast<SiteId>(20 + i % 5);
-    serial::Bytes payload = payload_of(i, 1 + (i * 13) % 300);
-    sent.push_back(Decoded{from, to, payload});
-    ASSERT_FALSE(box.append(from, to, std::move(payload)).has_value());
-  }
-  const auto frame = box.flush(GatewayCoalescer::Flush::kForced);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->messages, 37u);
-  EXPECT_EQ(box.buffered_messages(), 0u);
-
-  std::uint16_t oc = 0;
-  std::uint16_t dc = 0;
-  const auto decoded = decode_all(frame->bytes, &oc, &dc);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(oc, 2u);
-  EXPECT_EQ(dc, 5u);
-  ASSERT_EQ(decoded->size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ((*decoded)[i].from, sent[i].from) << "entry " << i;
-    EXPECT_EQ((*decoded)[i].to, sent[i].to) << "entry " << i;
-    EXPECT_EQ((*decoded)[i].payload, sent[i].payload) << "entry " << i;
-  }
-}
-
-TEST(GatewayCoalescer, EmptyPayloadAndMixedSizesRoundTrip) {
-  GatewayCoalescer box(big_thresholds(), 0, 1);
-  const std::size_t sizes[] = {0, 1, 2, 255, 256, 1024, 0, 7};
-  for (std::size_t i = 0; i < std::size(sizes); ++i) {
-    ASSERT_FALSE(
-        box.append(static_cast<SiteId>(i), 9, payload_of(i, sizes[i])).has_value());
-  }
-  const auto frame = box.flush();
-  ASSERT_TRUE(frame.has_value());
-  const auto decoded = decode_all(frame->bytes);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), std::size(sizes));
-  for (std::size_t i = 0; i < std::size(sizes); ++i) {
-    EXPECT_EQ((*decoded)[i].payload, payload_of(i, sizes[i])) << "entry " << i;
-  }
-}
-
-TEST(GatewayCoalescer, CountThresholdShipsCompletedFrame) {
-  GatewayConfig config = big_thresholds();
-  config.max_messages = 4;
-  GatewayCoalescer box(config, 0, 1);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_FALSE(box.append(1, 2, payload_of(i, 10)).has_value());
-  }
-  const auto frame = box.append(1, 2, payload_of(3, 10));
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->reason, GatewayCoalescer::Flush::kCount);
-  EXPECT_EQ(frame->messages, 4u);
-  EXPECT_EQ(box.buffered_messages(), 0u);
-  EXPECT_EQ(box.flushes(GatewayCoalescer::Flush::kCount), 1u);
-  const auto decoded = decode_all(frame->bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->size(), 4u);
-}
-
-TEST(GatewayCoalescer, SizeThresholdShipsEvenASingleOversizedMessage) {
-  GatewayConfig config = big_thresholds();
-  config.max_bytes = 64;
-  GatewayCoalescer box(config, 0, 1);
-  const auto frame = box.append(1, 2, payload_of(1, 500));
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->reason, GatewayCoalescer::Flush::kSize);
-  EXPECT_EQ(frame->messages, 1u);
-  const auto decoded = decode_all(frame->bytes);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), 1u);
-  EXPECT_EQ((*decoded)[0].payload, payload_of(1, 500));
-}
-
-TEST(GatewayCoalescer, FlushOnEmptyMailboxIsNullopt) {
-  GatewayCoalescer box(big_thresholds(), 0, 1);
-  EXPECT_FALSE(box.flush().has_value());
-  EXPECT_EQ(box.frames(), 0u);
-}
-
-TEST(GatewayCoalescer, EnrouteRoundTrip) {
-  const serial::Bytes payload = payload_of(99, 123);
-  serial::Bytes copy = payload;
-  const serial::Bytes frame =
-      GatewayCoalescer::encode_enroute(4242, std::move(copy), nullptr);
-  ASSERT_EQ(frame.size(), GatewayCoalescer::kEnrouteHeaderBytes + payload.size());
-  EXPECT_EQ(frame[0], GatewayCoalescer::kEnrouteFrame);
-  SiteId to = 0;
-  const std::uint8_t* data = nullptr;
-  std::size_t len = 0;
-  ASSERT_TRUE(GatewayCoalescer::try_decode_enroute(frame, to, data, len));
-  EXPECT_EQ(to, 4242);
-  ASSERT_EQ(len, payload.size());
-  EXPECT_EQ(serial::Bytes(data, data + len), payload);
-}
-
-TEST(GatewayCoalescer, EnrouteRejectsTruncationAndBadTag) {
-  serial::Bytes frame =
-      GatewayCoalescer::encode_enroute(7, payload_of(1, 16), nullptr);
-  SiteId to = 0;
-  const std::uint8_t* data = nullptr;
-  std::size_t len = 0;
-  for (std::size_t cut = 0; cut < GatewayCoalescer::kEnrouteHeaderBytes; ++cut) {
-    const serial::Bytes truncated(frame.begin(),
-                                  frame.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(GatewayCoalescer::try_decode_enroute(truncated, to, data, len))
-        << "cut at " << cut;
-  }
-  frame[0] = GatewayCoalescer::kMailboxFrame;
-  EXPECT_FALSE(GatewayCoalescer::try_decode_enroute(frame, to, data, len));
-}
-
-// ---- adversarial frames: truncation + single-byte corruption ----
-
-serial::Bytes valid_frame(std::size_t messages) {
-  GatewayCoalescer box(big_thresholds(), 1, 3);
-  for (std::size_t i = 0; i < messages; ++i) {
-    box.append(static_cast<SiteId>(i), static_cast<SiteId>(50 + i),
-               payload_of(i, 5 + i * 3));
-  }
-  auto frame = box.flush();
-  EXPECT_TRUE(frame.has_value());
-  return std::move(frame->bytes);
-}
-
-TEST(GatewayCoalescer, EveryTruncationRejectsWithoutPartialDelivery) {
-  const serial::Bytes frame = valid_frame(6);
-  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
-    const serial::Bytes truncated(frame.begin(),
-                                  frame.begin() + static_cast<long>(cut));
-    // decode_all asserts zero delivered entries on reject.
-    EXPECT_FALSE(decode_all(truncated).has_value()) << "cut at " << cut;
-  }
-  // Appending trailing garbage breaks the exact-boundary rule too.
-  serial::Bytes padded = frame;
-  padded.push_back(0);
-  EXPECT_FALSE(decode_all(padded).has_value());
-}
-
-TEST(GatewayCoalescer, SingleByteCorruptionNeverDeliversPartially) {
-  const serial::Bytes frame = valid_frame(6);
-  const auto baseline = decode_all(frame);
-  ASSERT_TRUE(baseline.has_value());
-  sim::Pcg32 rng(2026, /*stream=*/11);
-  for (std::size_t pos = 0; pos < frame.size(); ++pos) {
-    for (int trial = 0; trial < 4; ++trial) {
-      serial::Bytes mutated = frame;
-      const auto flip =
-          static_cast<std::uint8_t>(1 + rng.uniform_int(0, 254));
-      mutated[pos] = static_cast<std::uint8_t>(mutated[pos] ^ flip);
-      // Either a clean reject (zero entries, asserted inside decode_all)
-      // or a full decode: corrupted routing/payload bytes that keep the
-      // structure valid must still deliver every entry.
-      const auto decoded = decode_all(mutated);
-      if (decoded.has_value()) {
-        EXPECT_EQ(decoded->size(), baseline->size())
-            << "byte " << pos << " flip " << static_cast<int>(flip);
-      }
-    }
-  }
-}
 
 // ---- conformance matrix: gateway on vs off, DES ----
 
