@@ -290,7 +290,6 @@ int main(int argc, char** argv) {
       params.check = true;
       if (gateway_on && shared_sink != nullptr) {
         params.trace_sink = shared_sink;
-        params.log_sample_interval = observability.log_sample_interval();
         shared_sink = nullptr;  // one traced cell, as everywhere else
       }
       const std::string label = std::string("ab ") + to_string(protocol) +

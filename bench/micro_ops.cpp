@@ -150,22 +150,20 @@ void BM_EnvelopePooledEncode(benchmark::State& state) {
 BENCHMARK(BM_EnvelopePooledEncode)->Arg(64)->Arg(6400);
 
 // Whole-cluster DES run: 0 = tracing off, 1 = trace sink attached,
-// 2 = trace sink + LogSampler (100 ms period), 3 = trace sink + the live
-// telemetry layer (visibility tracker + 100 ms time-series sampler) in
-// place of the LogSampler. With no sink every instrumentation point is a
-// null-pointer test and no sampler events are scheduled, so Arg(0) must
-// land within noise of the pre-observability baseline — this is the
-// guard behind "tracing is free when disabled" (docs/OBSERVABILITY.md).
-// Arg(3) vs Arg(2) is the telemetry-on/off pair for the live layer: both
-// run one 100 ms sampler taking the same per-site log snapshot, so the
-// delta isolates the streaming path — an O(1) ring push/pop plus a
-// histogram increment per SM — and Arg(3) must not exceed Arg(2) by more
-// than 5 % on this config. Arg(4) = Arg(3) plus the critical-path
-// decomposition (LiveConfig::critpath): per-segment histogram folds and
-// the bounded blocked-on table on top of the same tracker. Its delta over
-// Arg(3) is the cost of provenance-on, pinned to <= 5 % on this config —
-// the "explain every operation" lane must stay cheap enough to leave on
-// in instrumented runs.
+// 2 = trace sink + the live telemetry layer (visibility tracker + 100 ms
+// time-series sampler, the wiring every traced bench cell gets), 3 =
+// Arg(2) plus the critical-path decomposition (LiveConfig::critpath).
+// With no sink every instrumentation point is a null-pointer test and no
+// sampler events are scheduled, so Arg(0) must land within noise of the
+// pre-observability baseline — this is the guard behind "tracing is free
+// when disabled" (docs/OBSERVABILITY.md). Arg(2) vs Arg(1) is the cost of
+// the live layer on a traced run: the streaming path (an O(1) ring
+// push/pop plus a histogram increment per SM) plus one per-site log walk
+// per sampler tick, which dominates on this config because ~100 s of
+// simulated time holds ~1,000 ticks but only 500 ops. Arg(3) vs Arg(2) is
+// the cost of provenance-on: per-segment histogram folds and the bounded
+// blocked-on table on top of the same tracker. docs/OBSERVABILITY.md
+// records measured numbers for each pair.
 void BM_ClusterExecute(benchmark::State& state) {
   dsm::ClusterConfig config;
   config.sites = 5;
@@ -190,9 +188,8 @@ void BM_ClusterExecute(benchmark::State& state) {
   for (auto _ : state) {
     sink.clear();
     config.trace_sink = state.range(0) == 0 ? nullptr : &sink;
-    config.log_sample_interval = state.range(0) == 2 ? 100 * kMillisecond : 0;
-    config.live = state.range(0) == 3   ? &live
-                  : state.range(0) == 4 ? &live_critpath
+    config.live = state.range(0) == 2   ? &live
+                  : state.range(0) == 3 ? &live_critpath
                                         : nullptr;
     dsm::Cluster cluster(config);
     cluster.execute(schedule);
@@ -201,7 +198,7 @@ void BM_ClusterExecute(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
-BENCHMARK(BM_ClusterExecute)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+BENCHMARK(BM_ClusterExecute)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // Pooled-executor scaling curve: the same whole-cluster run over real
 // threads with n sites multiplexed on W workers (0 = hardware

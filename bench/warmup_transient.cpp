@@ -14,6 +14,7 @@
 
 #include "bench_support/experiment.hpp"
 #include "dsm/cluster.hpp"
+#include "obs/trace_sink.hpp"
 #include "stats/table.hpp"
 #include "workload/schedule.hpp"
 
@@ -23,13 +24,27 @@ using namespace causim;
 
 constexpr int kBuckets = 10;
 
-struct Series {
-  std::vector<double> bytes = std::vector<double>(kBuckets, 0);
-  std::vector<std::uint64_t> count = std::vector<std::uint64_t>(kBuckets, 0);
+/// Buckets every SM `send` trace event by its send time (ts) relative to
+/// the schedule's horizon, summing the event's header + meta bytes (b).
+class Series final : public obs::TraceSink {
+ public:
+  explicit Series(SimTime horizon) : horizon_(std::max<SimTime>(horizon, 1)) {}
+
+  void emit(const obs::TraceEvent& e) override {
+    if (e.type != obs::TraceEventType::kSend || e.kind != MessageKind::kSM) return;
+    const int b = std::min<int>(kBuckets - 1, static_cast<int>(e.ts * kBuckets / horizon_));
+    bytes_[b] += static_cast<double>(e.b);
+    ++count_[b];
+  }
 
   double avg(int b) const {
-    return count[b] == 0 ? 0.0 : bytes[b] / static_cast<double>(count[b]);
+    return count_[b] == 0 ? 0.0 : bytes_[b] / static_cast<double>(count_[b]);
   }
+
+ private:
+  SimTime horizon_;
+  std::vector<double> bytes_ = std::vector<double>(kBuckets, 0);
+  std::vector<std::uint64_t> count_ = std::vector<std::uint64_t>(kBuckets, 0);
 };
 
 std::string sparkline(const Series& s) {
@@ -79,21 +94,13 @@ int main(int argc, char** argv) {
     wl.seed = 2;
     const auto schedule = workload::generate_schedule(20, wl);
 
-    // Bucket by send time relative to the schedule's horizon.
     SimTime horizon = 0;
     for (const auto& ops : schedule.per_site) {
       horizon = std::max(horizon, ops.back().at);
     }
-    Series series;
+    Series series(horizon);
+    config.trace_sink = &series;
     dsm::Cluster cluster(config);
-    cluster.set_message_probe([&](MessageKind k, std::size_t bytes, SimTime at) {
-      if (k != MessageKind::kSM) return;
-      const int b = std::min<int>(kBuckets - 1,
-                                  static_cast<int>(at * kBuckets / std::max<SimTime>(
-                                                                       horizon, 1)));
-      series.bytes[b] += static_cast<double>(bytes);
-      ++series.count[b];
-    });
     cluster.execute(schedule);
 
     std::vector<std::string> row{to_string(kind)};

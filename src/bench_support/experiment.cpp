@@ -51,7 +51,6 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
     config.record_history = params.check;
     config.causal_fetch = params.causal_fetch;
     config.trace_sink = params.trace_sink;
-    config.log_sample_interval = params.log_sample_interval;
     config.fault_plan = params.fault_plan;
     config.reliable_channel = params.reliable_channel;
     config.reliable_config = params.reliable_config;
@@ -83,7 +82,6 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
       engine::NodeStack& stack = cluster.stack();
       result.stats += stack.aggregate_message_stats();
       result.log_entries += stack.aggregate_log_entries();
-      result.log_bytes += stack.aggregate_log_bytes();
       result.fetch_latency_us += stack.aggregate_fetch_latency();
       result.apply_delay_us += stack.aggregate_apply_delay();
       if (cluster.injector() != nullptr) result.drops += cluster.injector()->drops();

@@ -56,14 +56,11 @@ struct ExperimentParams {
   /// accumulates per-site metrics across seeds after each run quiesces.
   obs::TraceSink* trace_sink = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  /// LogSampler period (see ClusterConfig::log_sample_interval); only
-  /// effective when trace_sink is set. Observability::log_sample_interval
-  /// supplies the conventional value.
-  SimTime log_sample_interval = 0;
   /// Online telemetry (obs::live, owned by the caller; see
   /// EngineConfig::live). Must match sites/variables; run_experiment calls
   /// begin_run(seed) before each seed's run. Observability::run_cell wires
-  /// one per cell when --json-out / --timeseries-out ask for it.
+  /// one per cell when --json-out / --timeseries-out ask for it, and a
+  /// sampling one for the traced cell (its log-occupancy series).
   obs::live::LiveTelemetry* live = nullptr;
   /// Channel faults + reliability sublayer (see dsm::ClusterConfig). The
   /// default empty plan builds no fault stack, keeping every paper-facing
@@ -98,7 +95,6 @@ struct ExperimentResult {
   std::size_t recorded_writes = 0;  // across all seeds
   std::size_t recorded_reads = 0;
   stats::Summary log_entries;  // per-op samples of protocol log size
-  stats::Summary log_bytes;
   stats::Summary fetch_latency_us;  // remote-read round trips, all seeds
   stats::Summary apply_delay_us;    // SM buffering delay, all seeds
   bool check_ok = true;

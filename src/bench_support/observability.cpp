@@ -84,42 +84,43 @@ obs::TraceSink* Observability::claim_trace_sink() {
   return sink_.get();
 }
 
-SimTime Observability::log_sample_interval() const {
-  return sink_ == nullptr ? 0 : 100 * kMillisecond;
+std::unique_ptr<obs::live::LiveTelemetry> Observability::cell_telemetry(
+    SiteId sites, VarId variables, const obs::TraceSink* trace_sink,
+    bool want_timeseries) const {
+  // The visibility tracker runs for every cell when results are wanted
+  // (--json-out). The 100 ms sampler runs for the first cell's
+  // --timeseries-out stream and for the cell holding this object's own
+  // sink, whose time_sample events become the report's log occupancy.
+  // Matching any sink would also sample cells whose sink is private to
+  // the bench (ext_geo's visibility splitter).
+  const bool sampled =
+      want_timeseries || (trace_sink != nullptr && trace_sink == sink_.get());
+  if (json_out_.empty() && !sampled) return nullptr;
+  obs::live::LiveConfig lc;
+  lc.sites = sites;
+  lc.variables = variables;
+  lc.critpath = critpath_;
+  if (sampled) lc.sample_interval = 100 * kMillisecond;
+  return std::make_unique<obs::live::LiveTelemetry>(lc);
 }
 
 ExperimentResult Observability::run_cell(const std::string& label,
                                          ExperimentParams params) {
   // A caller-supplied sink wins (ext_geo's LAN/WAN visibility splitter);
   // otherwise the first cell claims the shared --trace-out sink.
-  if (params.trace_sink == nullptr) {
-    params.trace_sink = claim_trace_sink();  // first cell only
-    params.log_sample_interval = log_sample_interval();
-  }
+  if (params.trace_sink == nullptr) params.trace_sink = claim_trace_sink();
   params.metrics = metrics();
-
-  // Live telemetry: the visibility tracker runs for every cell when
-  // results are wanted (--json-out); the time-series sampler only for the
-  // first cell (--timeseries-out), mirroring the one-traced-cell rule.
-  std::unique_ptr<obs::live::LiveTelemetry> cell_live;
-  const bool want_visibility = !json_out_.empty();
   const bool want_timeseries = !timeseries_out_.empty() && timeseries_live_ == nullptr;
-  if (want_visibility || want_timeseries) {
-    obs::live::LiveConfig lc;
-    lc.sites = params.sites;
-    lc.variables = params.variables;
-    lc.critpath = critpath_;
-    if (want_timeseries) lc.sample_interval = 100 * kMillisecond;
-    cell_live = std::make_unique<obs::live::LiveTelemetry>(lc);
-    params.live = cell_live.get();
-  }
+  std::unique_ptr<obs::live::LiveTelemetry> cell_live = cell_telemetry(
+      params.sites, params.variables, params.trace_sink, want_timeseries);
+  params.live = cell_live.get();
 
   const auto t0 = std::chrono::steady_clock::now();
   const ExperimentResult result = run_experiment(params);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  if (want_visibility) {
+  if (!json_out_.empty()) {
     append_cell(label, params, result, wall_s, cell_live.get());
   }
   if (cell_live != nullptr && params.metrics != nullptr) {
@@ -254,32 +255,23 @@ void Observability::append_cell(const std::string& label,
 kv::ServiceResult Observability::run_service_cell(const std::string& label,
                                                   kv::ServiceParams params) {
   // Same instrument wiring as run_cell: the first cell claims the shared
-  // trace sink, every cell gets a visibility tracker when machine-readable
-  // results are wanted, the first cell alone feeds the time-series stream.
+  // trace sink, and cell_telemetry decides the tracker and its sampler.
   if (params.engine.trace_sink == nullptr) {
     params.engine.trace_sink = claim_trace_sink();
-    params.engine.log_sample_interval = log_sample_interval();
   }
   params.metrics = metrics();
-  std::unique_ptr<obs::live::LiveTelemetry> cell_live;
-  const bool want_visibility = !json_out_.empty();
   const bool want_timeseries = !timeseries_out_.empty() && timeseries_live_ == nullptr;
-  if (want_visibility || want_timeseries) {
-    obs::live::LiveConfig lc;
-    lc.sites = params.engine.sites;
-    lc.variables = params.engine.variables;
-    lc.critpath = critpath_;
-    if (want_timeseries) lc.sample_interval = 100 * kMillisecond;
-    cell_live = std::make_unique<obs::live::LiveTelemetry>(lc);
-    params.engine.live = cell_live.get();
-  }
+  std::unique_ptr<obs::live::LiveTelemetry> cell_live =
+      cell_telemetry(params.engine.sites, params.engine.variables,
+                     params.engine.trace_sink, want_timeseries);
+  params.engine.live = cell_live.get();
 
   const auto t0 = std::chrono::steady_clock::now();
   const kv::ServiceResult result = kv::run_service(params);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  if (want_visibility) {
+  if (!json_out_.empty()) {
     // The standard cell view of the run, so the common counter blocks
     // (messages, log_entries, faults, topology, …) serialize and gate
     // exactly like a closed-schedule cell.
@@ -311,7 +303,6 @@ kv::ServiceResult Observability::run_service_cell(const std::string& label,
     res.recorded_writes = result.recorded_writes;
     res.recorded_reads = result.recorded_reads;
     res.log_entries = result.log_entries;
-    res.log_bytes = result.log_bytes;
     res.fetch_latency_us = result.fetch_latency_us;
     res.apply_delay_us = result.apply_delay_us;
     res.check_ok = result.check_ok;

@@ -56,20 +56,18 @@ class Observability {
   /// trace is not kept.
   obs::TraceSink* claim_trace_sink();
 
-  /// LogSampler period for the traced cell: the conventional 100 ms when a
-  /// sink exists (so reports carry a log-occupancy series), 0 otherwise.
-  /// Pass straight to ExperimentParams::log_sample_interval.
-  SimTime log_sample_interval() const;
-
   /// Runs one grid cell: attaches the first-cell trace sink, the metrics
-  /// registry, and — with --json-out / --timeseries-out — a live telemetry
-  /// subscriber (visibility tracker for every cell; the 100 ms time-series
-  /// sampler for the first cell only), times the run, and appends the
-  /// cell's bench.v1 record under `label`. Returns run_experiment's result
+  /// registry, and a live telemetry subscriber — the visibility tracker
+  /// for every cell with --json-out, plus the 100 ms time-series sampler
+  /// for the first cell with --timeseries-out and for the cell that holds
+  /// this object's own trace sink (its time_sample events are the
+  /// report's log-occupancy series). Times the run and appends the cell's
+  /// bench.v1 record under `label`. Returns run_experiment's result
   /// unchanged, so table-building code keeps working as before. A trace
-  /// sink already set in `params` is kept (ext_geo wires a per-cell
-  /// visibility splitter this way) and that cell does not claim the
-  /// shared --trace-out sink.
+  /// sink already set in `params` is kept: a bench that claimed the shared
+  /// sink itself still gets the sampler for that cell, while a cell with
+  /// a sink of its own (ext_geo's per-cell visibility splitter) does not
+  /// claim the shared sink and stays unsampled.
   ExperimentResult run_cell(const std::string& label, ExperimentParams params);
 
   /// Runs one open-loop KV service cell (kv::run_service) with the same
@@ -88,6 +86,11 @@ class Observability {
 
  private:
   bool probe_writable(const std::string& path, const char* flag);
+  /// The cell's live tracker, or null when the cell needs none (see
+  /// run_cell for which cells get one and which of those sample).
+  std::unique_ptr<obs::live::LiveTelemetry> cell_telemetry(
+      SiteId sites, VarId variables, const obs::TraceSink* trace_sink,
+      bool want_timeseries) const;
   void append_cell(const std::string& label, const ExperimentParams& params,
                    const ExperimentResult& result, double wall_s,
                    const obs::live::LiveTelemetry* live,

@@ -44,20 +44,12 @@ void Cluster::execute(const workload::Schedule& schedule) {
   driver_->execute(schedule);
 }
 
-void Cluster::set_message_probe(SiteRuntime::MessageProbe probe) {
-  stack_->set_message_probe(std::move(probe));
-}
-
 stats::MessageStats Cluster::aggregate_message_stats() const {
   return stack_->aggregate_message_stats();
 }
 
 stats::Summary Cluster::aggregate_log_entries() const {
   return stack_->aggregate_log_entries();
-}
-
-stats::Summary Cluster::aggregate_log_bytes() const {
-  return stack_->aggregate_log_bytes();
 }
 
 stats::Summary Cluster::aggregate_fetch_latency() const {

@@ -68,12 +68,8 @@ class Cluster {
   /// such as the examples: write, settle, read).
   void settle() { simulator_.run(); }
 
-  /// Installs a per-message probe on every site (see SiteRuntime).
-  void set_message_probe(SiteRuntime::MessageProbe probe);
-
   stats::MessageStats aggregate_message_stats() const;
   stats::Summary aggregate_log_entries() const;
-  stats::Summary aggregate_log_bytes() const;
   stats::Summary aggregate_fetch_latency() const;
   stats::Summary aggregate_apply_delay() const;
   std::uint64_t total_applies() const;

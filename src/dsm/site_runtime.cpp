@@ -45,17 +45,7 @@ void SiteRuntime::recycle_locked(serial::Bytes&& bytes) {
   if (pool_ != nullptr) pool_->release(std::move(bytes));
 }
 
-void SiteRuntime::trace_log_occupancy() {
-  std::lock_guard lock(mutex_);
-  if (trace_ == nullptr) return;
-  obs::TraceEvent e;
-  e.type = obs::TraceEventType::kLogSample;
-  e.a = protocol_->log_entry_count();
-  e.b = protocol_->local_meta_bytes();
-  trace_locked(e);
-}
-
-SiteRuntime::LiveSample SiteRuntime::live_sample(std::uint64_t ordinal) {
+SiteRuntime::LiveSample SiteRuntime::live_sample(std::uint64_t ordinal, SimTime ts) {
   std::lock_guard lock(mutex_);
   LiveSample sample;
   sample.pending_updates = pending_.size();
@@ -63,8 +53,11 @@ SiteRuntime::LiveSample SiteRuntime::live_sample(std::uint64_t ordinal) {
   sample.log_bytes = protocol_->local_meta_bytes();
   obs::TraceEvent e;
   e.type = obs::TraceEventType::kTimeSample;
+  e.ts = ts;
   e.a = sample.pending_updates;
   e.b = ordinal;
+  e.c = sample.log_entries;
+  e.d = sample.log_bytes;
   trace_locked(e);
   return sample;
 }
@@ -134,7 +127,7 @@ WriteId SiteRuntime::write(VarId var, std::uint32_t payload_bytes, bool record) 
   });
   recycle_locked(std::move(env.meta));
 
-  if (record) sample_meta_locked();
+  if (record) sample_log_locked();
   {
     obs::TraceEvent e;
     e.type = obs::TraceEventType::kOpComplete;
@@ -161,7 +154,7 @@ bool SiteRuntime::read(VarId var, ReadCallback done, bool record) {
     const auto [value, w] =
         it == store_.end() ? std::pair<Value, WriteId>{} : it->second;
     if (recorder_ != nullptr) recorder_->record_read(self_, var, w, false, self_);
-    if (record) sample_meta_locked();
+    if (record) sample_log_locked();
     {
       obs::TraceEvent e;
       e.type = obs::TraceEventType::kOpComplete;
@@ -359,7 +352,7 @@ std::function<void()> SiteRuntime::try_complete_fetch_locked() {
     fetch_latency_.record(static_cast<double>(latency));
     fetch_latency_hist_.record(static_cast<double>(latency));
   }
-  if (fetch_->record) sample_meta_locked();
+  if (fetch_->record) sample_log_locked();
   {
     obs::TraceEvent e;
     e.type = obs::TraceEventType::kOpComplete;
@@ -465,12 +458,7 @@ void SiteRuntime::send_envelope(const Envelope& env, SiteId to, bool record) {
   Envelope::Sizes sizes;
   serial::ByteWriter frame = meta_writer_locked();
   env.encode_into(frame, &sizes);
-  if (record) {
-    stats_.record(env.kind, sizes.header, sizes.meta, sizes.payload);
-    if (message_probe_) {
-      message_probe_(env.kind, sizes.header + sizes.meta, now_locked());
-    }
-  }
+  if (record) stats_.record(env.kind, sizes.header, sizes.meta, sizes.payload);
   {
     obs::TraceEvent e;
     e.type = obs::TraceEventType::kSend;
@@ -486,14 +474,8 @@ void SiteRuntime::send_envelope(const Envelope& env, SiteId to, bool record) {
   transport_.send(self_, to, frame.take());
 }
 
-void SiteRuntime::set_message_probe(MessageProbe probe) {
-  std::lock_guard lock(mutex_);
-  message_probe_ = std::move(probe);
-}
-
-void SiteRuntime::sample_meta_locked() {
+void SiteRuntime::sample_log_locked() {
   log_entries_.record(static_cast<double>(protocol_->log_entry_count()));
-  log_bytes_.record(static_cast<double>(protocol_->local_meta_bytes()));
 }
 
 std::size_t SiteRuntime::pending_updates() const {
@@ -520,11 +502,6 @@ stats::MessageStats SiteRuntime::message_stats() const {
 stats::Summary SiteRuntime::log_entries() const {
   std::lock_guard lock(mutex_);
   return log_entries_;
-}
-
-stats::Summary SiteRuntime::log_bytes() const {
-  std::lock_guard lock(mutex_);
-  return log_bytes_;
 }
 
 stats::Summary SiteRuntime::fetch_latency() const {
@@ -560,7 +537,6 @@ void SiteRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.gauge("site.held_fetch.high_water")
       .set(static_cast<double>(held_fetch_hwm_));
   registry.summary("log.entries") += log_entries_;
-  registry.summary("log.bytes") += log_bytes_;
   registry.summary("dest_set.size") += dest_set_size_;
   registry.summary("apply.delay_us") += apply_delay_;
   registry.histogram("fetch.latency_us", 0.0, 1e6, 200) += fetch_latency_hist_;

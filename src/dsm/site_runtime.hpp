@@ -93,18 +93,9 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
 
   // ---- instrumentation ----
 
-  /// Optional per-message probe, invoked (under the site lock) for every
-  /// *recorded* message this site sends: kind, header+meta bytes, send
-  /// time. Used by benches that need time-resolved series (e.g. the
-  /// warm-up transient) rather than aggregate counters.
-  using MessageProbe = std::function<void(MessageKind, std::size_t, SimTime)>;
-  void set_message_probe(MessageProbe probe);
-
   stats::MessageStats message_stats() const;
-  /// Log entry count / serialized local meta-data bytes, sampled after
-  /// every recorded operation.
+  /// Protocol log entry count, sampled after every recorded operation.
   stats::Summary log_entries() const;
-  stats::Summary log_bytes() const;
   /// Remote-fetch round-trip latency (only when a now_fn was supplied).
   stats::Summary fetch_latency() const;
   /// Activation delay of the applies that had to wait: time an SM spent in
@@ -114,25 +105,18 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   stats::Summary apply_delay() const;
   std::uint64_t total_applies() const;
 
-  /// The LogSampler hook: emits one kLogSample trace event carrying the
-  /// protocol's current log entry count (a) and serialized local meta-data
-  /// bytes (b). No-op without an attached sink, so a disabled sampler
-  /// costs nothing. Cluster drives this on a DES-time period
-  /// (ClusterConfig::log_sample_interval); thread-transport drivers may
-  /// call it from their own timer.
-  void trace_log_occupancy();
-
   /// One tick of the live time-series sampler (obs::live, see
   /// EngineConfig::live): under the site lock, snapshots the pending
   /// (buffered) update count and the protocol log's current footprint, and
-  /// emits one kTimeSample trace event (a = pending updates, b = the
-  /// sampler ordinal). The trace emission is a no-op without a sink.
+  /// emits one kTimeSample trace event stamped `ts` (a = pending updates,
+  /// b = the sampler ordinal, c = log entries, d = log bytes). The trace
+  /// emission is a no-op without a sink.
   struct LiveSample {
     std::size_t pending_updates = 0;
     std::uint64_t log_entries = 0;
     std::uint64_t log_bytes = 0;
   };
-  LiveSample live_sample(std::uint64_t ordinal);
+  LiveSample live_sample(std::uint64_t ordinal, SimTime ts);
 
   /// Attaches the shared frame pool (see serial::BufferPool): outgoing
   /// envelopes and protocol meta-data blocks are encoded into recycled
@@ -182,7 +166,7 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   /// keeps the "tracing is free when disabled" bound.
   void trace_dep_progress_locked();
   void send_envelope(const Envelope& env, SiteId to, bool record);
-  void sample_meta_locked();
+  void sample_log_locked();
   /// Meta-data writer backed by a pooled buffer when a pool is attached.
   serial::ByteWriter meta_writer_locked() const;
   void recycle_locked(serial::Bytes&& bytes);
@@ -250,10 +234,8 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   // read_blocking hand-off
   std::optional<std::pair<Value, WriteId>> blocking_result_;
 
-  MessageProbe message_probe_;
   stats::MessageStats stats_;
   stats::Summary log_entries_;
-  stats::Summary log_bytes_;
   stats::Summary fetch_latency_;
   stats::Summary apply_delay_;
   std::uint64_t total_applies_ = 0;

@@ -51,10 +51,6 @@ stats::Summary ThreadCluster::aggregate_log_entries() const {
   return stack_->aggregate_log_entries();
 }
 
-stats::Summary ThreadCluster::aggregate_log_bytes() const {
-  return stack_->aggregate_log_bytes();
-}
-
 void ThreadCluster::export_metrics(obs::MetricsRegistry& registry) const {
   stack_->export_metrics(registry);
 }

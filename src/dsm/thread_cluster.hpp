@@ -60,7 +60,6 @@ class ThreadCluster {
 
   stats::MessageStats aggregate_message_stats() const;
   stats::Summary aggregate_log_entries() const;
-  stats::Summary aggregate_log_bytes() const;
   checker::CheckResult check(checker::CheckOptions options = {}) const;
 
   /// Folds every site's observability instruments into `registry`. Call

@@ -82,13 +82,6 @@ struct EngineConfig {
   /// Optional structured-trace sink (src/obs), attached to the transport
   /// and every site. Must outlive the cluster. Null disables tracing.
   obs::TraceSink* trace_sink = nullptr;
-  /// LogSampler period (simulated µs): every interval, each site emits a
-  /// kLogSample trace event with its causal-log entry count and meta-data
-  /// bytes, giving the analysis engine a log-occupancy time series. 0 (the
-  /// default) disables the sampler entirely — no simulator events are
-  /// scheduled, preserving the null-sink overhead bound. Requires a
-  /// trace_sink; only execute() drives it (not hand-driven settle() runs).
-  SimTime log_sample_interval = 0;
   /// Channel faults to inject between the sites and the wire
   /// (causim::faults). Any active fault automatically enables the
   /// reliability sublayer below — the protocols are written against the
@@ -132,9 +125,13 @@ struct EngineConfig {
   /// Online telemetry (obs::live): when set, the stack interposes it in
   /// front of trace_sink (events flow through it and are forwarded), the
   /// visibility tracker runs, and — if its sample_interval is non-zero —
-  /// the executor drives the time-series sampler. Must outlive the cluster
-  /// and match this config's sites/variables. Null disables everything,
-  /// keeping runs byte-identical to the pre-telemetry engine.
+  /// the executor drives the time-series sampler. Its per-site kTimeSample
+  /// events are the only source of the log-occupancy series obs::analysis
+  /// reports, so a traced run that wants one attaches a sampling tracker;
+  /// only execute() drives the sampler, not hand-driven settle() runs.
+  /// Must outlive the cluster and match this config's sites/variables.
+  /// Null disables everything, keeping runs byte-identical to the
+  /// pre-telemetry engine.
   obs::live::LiveTelemetry* live = nullptr;
 
   SiteId effective_replication() const {

@@ -95,8 +95,9 @@ NodeStack::NodeStack(const EngineConfig& config, Wiring wiring)
   // Live telemetry interposes in front of the user's sink: site/transport
   // events flow through the online tracker and are forwarded unchanged.
   // Under the DES the wiring has a clock and event timestamps are already
-  // exact; under threads site events carry ts = 0, so the tracker stamps
-  // with its own steady clock instead.
+  // exact; under threads site lifecycle events carry ts = 0, so the tracker
+  // stamps them with its own steady clock instead (the sampler's
+  // kTimeSample events are stamped by the sampler itself).
   obs::TraceSink* sink = config_.trace_sink;
   if (config_.live != nullptr) {
     config_.live->set_downstream(config_.trace_sink);
@@ -119,21 +120,13 @@ NodeStack::NodeStack(const EngineConfig& config, Wiring wiring)
   }
 }
 
-void NodeStack::set_message_probe(dsm::SiteRuntime::MessageProbe probe) {
-  for (auto& r : runtimes_) r->set_message_probe(probe);
-}
-
-void NodeStack::trace_log_occupancy() {
-  for (auto& r : runtimes_) r->trace_log_occupancy();
-}
-
 void NodeStack::live_sample(SimTime now) {
   obs::live::LiveTelemetry* live = config_.live;
   if (live == nullptr) return;
   obs::live::StackGauges gauges;
   const std::uint64_t ordinal = live->samples_recorded();
   for (auto& r : runtimes_) {
-    const dsm::SiteRuntime::LiveSample s = r->live_sample(ordinal);
+    const dsm::SiteRuntime::LiveSample s = r->live_sample(ordinal, now);
     gauges.buffered_sm += s.pending_updates;
     gauges.log_entries += s.log_entries;
     gauges.log_bytes += s.log_bytes;
@@ -203,12 +196,6 @@ stats::MessageStats NodeStack::aggregate_message_stats() const {
 stats::Summary NodeStack::aggregate_log_entries() const {
   stats::Summary total;
   for (const auto& r : runtimes_) total += r->log_entries();
-  return total;
-}
-
-stats::Summary NodeStack::aggregate_log_bytes() const {
-  stats::Summary total;
-  for (const auto& r : runtimes_) total += r->log_bytes();
   return total;
 }
 

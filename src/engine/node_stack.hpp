@@ -84,18 +84,12 @@ class NodeStack {
 
   const checker::HistoryRecorder& history() const { return history_; }
 
-  /// Installs a per-message probe on every site (see SiteRuntime).
-  void set_message_probe(dsm::SiteRuntime::MessageProbe probe);
-
-  /// Emits one kLogSample trace event per site (the LogSampler tick).
-  void trace_log_occupancy();
-
   /// One live time-series tick (no-op without EngineConfig::live): polls
   /// every site's LiveSample, the wire's in-flight count and the
   /// reliability layer's counters, and hands the lot to
-  /// LiveTelemetry::record_sample with the given clock reading (`now` is
-  /// the DES clock under SimExecutor; thread drivers pass 0 and the
-  /// telemetry stamps with its own steady clock).
+  /// LiveTelemetry::record_sample. `now` stamps the timeseries row and
+  /// every site's kTimeSample event alike: the DES clock under
+  /// SimExecutor, LiveTelemetry::wall_now() under the thread sampler.
   void live_sample(SimTime now);
 
   /// The post-run quiescence invariants, shared verbatim by both
@@ -109,7 +103,6 @@ class NodeStack {
 
   stats::MessageStats aggregate_message_stats() const;
   stats::Summary aggregate_log_entries() const;
-  stats::Summary aggregate_log_bytes() const;
   stats::Summary aggregate_fetch_latency() const;
   stats::Summary aggregate_apply_delay() const;
   std::uint64_t total_applies() const;

@@ -1,11 +1,9 @@
 #include "engine/pooled_executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/panic.hpp"
 #include "net/thread_transport.hpp"
-#include "obs/live/live_telemetry.hpp"
 
 namespace causim::engine {
 
@@ -22,7 +20,8 @@ PooledExecutor::PooledExecutor(NodeStack& stack, net::ThreadTransport& transport
                                Options options)
     : stack_(stack),
       transport_(transport),
-      workers_target_(resolve_workers(options.workers)) {}
+      workers_target_(resolve_workers(options.workers)),
+      sampler_(stack) {}
 
 PooledExecutor::~PooledExecutor() { abort(); }
 
@@ -37,7 +36,7 @@ void PooledExecutor::play(ScheduleDriver& driver,
     live_sites_.store(n, std::memory_order_release);
     transport_.start();
     started_ = true;
-    start_live_sampler();
+    sampler_.start();
     {
       std::lock_guard lock(mutex_);
       stop_.store(false, std::memory_order_release);
@@ -136,7 +135,7 @@ void PooledExecutor::finish() {
   std::lock_guard life(life_mutex_);
   if (!started_) return;
   stop_workers();
-  stop_live_sampler();
+  sampler_.stop();
   transport_.stop();
   started_ = false;
 }
@@ -148,7 +147,7 @@ void PooledExecutor::abort() {
   // so the layers below can be torn down in the usual order (timer before
   // transport — a retransmission firing into a stopped wire would panic).
   stop_workers();
-  stop_live_sampler();
+  sampler_.stop();
   if (stack_.timer() != nullptr) stack_.timer()->stop();
   transport_.stop();
   started_ = false;
@@ -165,32 +164,6 @@ void PooledExecutor::stop_workers() {
     if (t.joinable()) t.join();
   }
   workers_.clear();
-}
-
-void PooledExecutor::start_live_sampler() {
-  obs::live::LiveTelemetry* live = stack_.config().live;
-  if (live == nullptr || live->sample_interval() <= 0) return;
-  live_stop_ = false;
-  live_sampler_ = std::thread([this, live] {
-    const auto period = std::chrono::microseconds(live->sample_interval());
-    std::unique_lock lock(live_mutex_);
-    while (!live_stop_) {
-      lock.unlock();
-      stack_.live_sample(0);
-      lock.lock();
-      live_cv_.wait_for(lock, period, [this] { return live_stop_; });
-    }
-  });
-}
-
-void PooledExecutor::stop_live_sampler() {
-  if (!live_sampler_.joinable()) return;
-  {
-    std::lock_guard lock(live_mutex_);
-    live_stop_ = true;
-  }
-  live_cv_.notify_all();
-  live_sampler_.join();
 }
 
 }  // namespace causim::engine

@@ -90,8 +90,6 @@ class PooledExecutor final : public Executor {
   void enqueue(SiteId s);
   void site_finished();
   void stop_workers();
-  void start_live_sampler();
-  void stop_live_sampler();
 
   NodeStack& stack_;
   net::ThreadTransport& transport_;
@@ -116,10 +114,7 @@ class PooledExecutor final : public Executor {
   std::mutex life_mutex_;
   bool started_ = false;
 
-  std::thread live_sampler_;
-  std::mutex live_mutex_;
-  std::condition_variable live_cv_;
-  bool live_stop_ = false;
+  LiveSamplerThread sampler_;
 };
 
 }  // namespace causim::engine

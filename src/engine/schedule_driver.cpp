@@ -45,16 +45,9 @@ void ScheduleDriver::dispatch(SiteId s, const workload::Op& op,
 void SimExecutor::play(ScheduleDriver& driver, const workload::Schedule& schedule) {
   schedule_ = &schedule;
   cursor_.assign(stack_.sites(), 0);
-  sampler_events_ = 0;
   for (SiteId s = 0; s < stack_.sites(); ++s) issue_next(driver, s);
-  if (stack_.config().log_sample_interval > 0 &&
-      stack_.config().trace_sink != nullptr) {
-    ++sampler_events_;
-    simulator_.schedule_at(simulator_.now(), [this] { sample_logs(); });
-  }
   if (stack_.config().live != nullptr &&
       stack_.config().live->sample_interval() > 0) {
-    ++sampler_events_;
     simulator_.schedule_at(simulator_.now(), [this] { sample_live(); });
   }
   simulator_.run();
@@ -79,26 +72,11 @@ void SimExecutor::run_op(ScheduleDriver& driver, SiteId s) {
   });
 }
 
-void SimExecutor::sample_logs() {
-  --sampler_events_;
-  stack_.trace_log_occupancy();
-  // play() runs the simulator to an empty queue, so a sampler must stop
-  // once samplers are the only remaining work. Comparing the queue size
-  // against the outstanding sampler events (not just idle()) matters when
-  // both periodic samplers run: each would otherwise see the other's
-  // queued event and they would keep each other alive forever.
-  if (simulator_.pending() > sampler_events_) {
-    ++sampler_events_;
-    simulator_.schedule_after(stack_.config().log_sample_interval,
-                              [this] { sample_logs(); });
-  }
-}
-
 void SimExecutor::sample_live() {
-  --sampler_events_;
   stack_.live_sample(simulator_.now());
-  if (simulator_.pending() > sampler_events_) {
-    ++sampler_events_;
+  // play() runs the simulator to an empty queue, so the sampler stops once
+  // it is the only remaining work.
+  if (!simulator_.idle()) {
     simulator_.schedule_after(stack_.config().live->sample_interval(),
                               [this] { sample_live(); });
   }
@@ -109,7 +87,7 @@ void SimExecutor::sample_live() {
 void ThreadExecutor::play(ScheduleDriver& driver, const workload::Schedule& schedule) {
   transport_.start();
   started_ = true;
-  start_live_sampler();
+  sampler_.start();
 
   std::vector<std::thread> apps;
   apps.reserve(stack_.sites());
@@ -170,48 +148,48 @@ void drain_thread_stack(NodeStack& stack, net::ThreadTransport& wire) {
   wire.quiesce();
 }
 
+void LiveSamplerThread::start() {
+  obs::live::LiveTelemetry* live = stack_.config().live;
+  if (live == nullptr || live->sample_interval() <= 0) return;
+  stop_ = false;
+  thread_ = std::thread([this, live] {
+    const auto period = std::chrono::microseconds(live->sample_interval());
+    std::unique_lock lock(mutex_);
+    while (!stop_) {
+      lock.unlock();
+      // The stack snapshots under per-site locks; there is no engine clock
+      // under threads, so the telemetry's steady clock stamps the tick.
+      stack_.live_sample(live->wall_now());
+      lock.lock();
+      cv_.wait_for(lock, period, [this] { return stop_; });
+    }
+  });
+}
+
+void LiveSamplerThread::stop() {
+  if (!thread_.joinable()) return;
+  {
+    std::lock_guard lock(mutex_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+}
+
 void ThreadExecutor::drain() { drain_thread_stack(stack_, transport_); }
 
 void ThreadExecutor::finish() {
-  stop_live_sampler();
+  sampler_.stop();
   transport_.stop();
   started_ = false;
 }
 
 void ThreadExecutor::abort() {
   if (!started_) return;
-  stop_live_sampler();
+  sampler_.stop();
   if (stack_.timer() != nullptr) stack_.timer()->stop();
   transport_.stop();
   started_ = false;
-}
-
-void ThreadExecutor::start_live_sampler() {
-  obs::live::LiveTelemetry* live = stack_.config().live;
-  if (live == nullptr || live->sample_interval() <= 0) return;
-  live_stop_ = false;
-  live_sampler_ = std::thread([this, live] {
-    const auto period = std::chrono::microseconds(live->sample_interval());
-    std::unique_lock lock(live_mutex_);
-    while (!live_stop_) {
-      lock.unlock();
-      // The stack snapshots under per-site locks; the telemetry stamps the
-      // sample with its own steady clock (no engine clock under threads).
-      stack_.live_sample(0);
-      lock.lock();
-      live_cv_.wait_for(lock, period, [this] { return live_stop_; });
-    }
-  });
-}
-
-void ThreadExecutor::stop_live_sampler() {
-  if (!live_sampler_.joinable()) return;
-  {
-    std::lock_guard lock(live_mutex_);
-    live_stop_ = true;
-  }
-  live_cv_.notify_all();
-  live_sampler_.join();
 }
 
 }  // namespace causim::engine

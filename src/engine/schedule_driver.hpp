@@ -107,18 +107,12 @@ class SimExecutor final : public Executor {
  private:
   void issue_next(ScheduleDriver& driver, SiteId s);
   void run_op(ScheduleDriver& driver, SiteId s);
-  void sample_logs();
   void sample_live();
 
   NodeStack& stack_;
   sim::Simulator& simulator_;
   const workload::Schedule* schedule_ = nullptr;
   std::vector<std::size_t> cursor_;
-  /// Sampler events currently in the simulator queue (log + live). A
-  /// sampler only reschedules while the queue holds *non-sampler* work;
-  /// comparing against plain idle() would let two periodic samplers keep
-  /// each other alive forever past quiescence.
-  std::size_t sampler_events_ = 0;
 };
 
 /// The shutdown ladder both real-thread executors run from drain(), once
@@ -126,6 +120,31 @@ class SimExecutor final : public Executor {
 /// frames, wait for the reliability layer's quiescence (looping while a
 /// mailbox refills), stop the timer, drain the wire.
 void drain_thread_stack(NodeStack& stack, net::ThreadTransport& wire);
+
+/// The live time-series sampler both real-thread executors own. Real time
+/// stands in for the DES clock: a thread ticks NodeStack::live_sample every
+/// LiveTelemetry::sample_interval µs of wall time, stamping each tick with
+/// LiveTelemetry::wall_now(), from start() until stop(). Both are no-ops
+/// without a live tracker or with a zero interval; stop() is idempotent and
+/// the destructor calls it.
+class LiveSamplerThread {
+ public:
+  explicit LiveSamplerThread(NodeStack& stack) : stack_(stack) {}
+  ~LiveSamplerThread() { stop(); }
+
+  LiveSamplerThread(const LiveSamplerThread&) = delete;
+  LiveSamplerThread& operator=(const LiveSamplerThread&) = delete;
+
+  void start();
+  void stop();
+
+ private:
+  NodeStack& stack_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
 
 /// Real-thread substrate: one application thread per site issues ops in
 /// order, sleeping out schedule gaps when time_scale > 0 and blocking on a
@@ -143,7 +162,7 @@ class ThreadExecutor final : public Executor {
 
   ThreadExecutor(NodeStack& stack, net::ThreadTransport& transport,
                  Options options)
-      : stack_(stack), transport_(transport), options_(options) {}
+      : stack_(stack), transport_(transport), options_(options), sampler_(stack) {}
 
   void play(ScheduleDriver& driver, const workload::Schedule& schedule) override;
   void drain() override;
@@ -154,21 +173,11 @@ class ThreadExecutor final : public Executor {
   void abort() override;
 
  private:
-  void start_live_sampler();
-  void stop_live_sampler();
-
   NodeStack& stack_;
   net::ThreadTransport& transport_;
   Options options_;
   bool started_ = false;
-
-  /// Live time-series sampler: real time stands in for the DES clock, so
-  /// a dedicated thread ticks NodeStack::live_sample every
-  /// LiveTelemetry::sample_interval microseconds of wall time until drain.
-  std::thread live_sampler_;
-  std::mutex live_mutex_;
-  std::condition_variable live_cv_;
-  bool live_stop_ = false;
+  LiveSamplerThread sampler_;
 };
 
 }  // namespace causim::engine

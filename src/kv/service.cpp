@@ -155,7 +155,6 @@ ServiceResult run_service(const ServiceParams& params) {
     engine::NodeStack& stack = cluster.stack();
     result.stats += stack.aggregate_message_stats();
     result.log_entries += stack.aggregate_log_entries();
-    result.log_bytes += stack.aggregate_log_bytes();
     result.fetch_latency_us += stack.aggregate_fetch_latency();
     result.apply_delay_us += stack.aggregate_apply_delay();
     if (cluster.injector() != nullptr) result.drops += cluster.injector()->drops();

@@ -91,7 +91,6 @@ struct ServiceResult {
   std::size_t recorded_writes = 0;
   std::size_t recorded_reads = 0;
   stats::Summary log_entries;
-  stats::Summary log_bytes;
   stats::Summary fetch_latency_us;
   stats::Summary apply_delay_us;
   std::uint64_t drops = 0;

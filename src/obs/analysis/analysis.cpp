@@ -178,9 +178,9 @@ AnalysisReport analyze(const std::vector<TraceEvent>& events,
         site.retransmitted_bytes += e.b;
         break;
       }
-      case TraceEventType::kLogSample:
-        raw_series[e.site].push_back({e.ts, static_cast<double>(e.a),
-                                      static_cast<double>(e.b)});
+      case TraceEventType::kTimeSample:
+        raw_series[e.site].push_back({e.ts, static_cast<double>(e.c),
+                                      static_cast<double>(e.d)});
         break;
       default:
         break;

@@ -15,9 +15,9 @@
 //     (merge/prune counts and entry deltas) from the ProtocolObserver
 //     events;
 //   * causal log occupancy — the per-site time series of log entry counts
-//     and meta-data bytes recorded by the LogSampler hook
-//     (ClusterConfig::log_sample_interval), downsampled to a bounded
-//     number of points.
+//     and meta-data bytes carried by the live sampler's `time_sample`
+//     events (obs::live, LiveConfig::sample_interval), downsampled to a
+//     bounded number of points.
 //
 // Reports serialize to deterministic JSON (schema causim.analysis.v1):
 // under the DES, two runs with the same (schedule, seed) produce
@@ -98,7 +98,7 @@ struct OccupancyPoint {
 };
 
 struct SiteOccupancy {
-  std::uint64_t samples = 0;  // raw LogSampler emissions before downsampling
+  std::uint64_t samples = 0;  // raw time_sample events before downsampling
   stats::Summary entries;
   stats::Summary bytes;
   std::vector<OccupancyPoint> series;

@@ -1,20 +1,10 @@
 #include "obs/analysis/trace_reader.hpp"
 
+#include <string_view>
+
 namespace causim::obs::analysis {
 
 namespace {
-
-constexpr TraceEventType kAllEventTypes[] = {
-    TraceEventType::kOpIssue,    TraceEventType::kOpComplete,
-    TraceEventType::kSend,       TraceEventType::kWireDelay,
-    TraceEventType::kDeliver,    TraceEventType::kBuffered,
-    TraceEventType::kActivated,  TraceEventType::kFetchHeld,
-    TraceEventType::kFetchServed, TraceEventType::kLogMerge,
-    TraceEventType::kLogPrune,   TraceEventType::kLogSample,
-    TraceEventType::kDrop,       TraceEventType::kRetransmit,
-    TraceEventType::kRttSample,  TraceEventType::kTimeSample,
-    TraceEventType::kDepSatisfied,
-};
 
 bool set_error(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -24,13 +14,18 @@ bool set_error(std::string* error, const std::string& message) {
 }  // namespace
 
 bool parse_trace_event_type(const std::string& name, TraceEventType* out) {
-  for (const TraceEventType t : kAllEventTypes) {
-    if (name == to_string(t)) {
+  // The enumerators are contiguous from 0 and to_string names every one of
+  // them, so walking up to the first unnamed value covers the whole enum
+  // however it grows.
+  for (unsigned i = 0;; ++i) {
+    const auto t = static_cast<TraceEventType>(i);
+    const std::string_view known = to_string(t);
+    if (known == "??") return false;
+    if (name == known) {
       *out = t;
       return true;
     }
   }
-  return false;
 }
 
 bool parse_message_kind(const std::string& name, MessageKind* out) {

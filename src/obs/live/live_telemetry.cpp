@@ -308,7 +308,7 @@ void LiveTelemetry::emit(const TraceEvent& event) {
 
 void LiveTelemetry::record_sample(SimTime now, const StackGauges& gauges) {
   TimeSample sample;
-  sample.ts = use_event_ts_ ? now : wall_now();
+  sample.ts = now;
   sample.ops = ops_.load(std::memory_order_relaxed);
   sample.sends = sends_.load(std::memory_order_relaxed);
   sample.applies = applies_.load(std::memory_order_relaxed);

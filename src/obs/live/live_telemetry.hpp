@@ -17,9 +17,12 @@
 //    the k-th activation of (origin, var) at a site is the k-th send.
 //
 //  * Time-series sampler. A periodic driver (SimExecutor under the DES,
-//    a sampler thread under ThreadExecutor) calls record_sample() with the
-//    cluster-wide gauges; samples append to a pre-reserved buffer and
-//    serialize as a deterministic `causim.timeseries.v1` JSON stream.
+//    engine::LiveSamplerThread under both thread executors) calls
+//    record_sample() with the cluster-wide gauges; samples append to a
+//    pre-reserved buffer and serialize as a deterministic
+//    `causim.timeseries.v1` JSON stream. The same tick emits one
+//    `time_sample` trace event per site carrying that site's log
+//    occupancy — the series obs::analysis reports as `log_occupancy`.
 //
 // LiveTelemetry is itself a TraceSink: the engine interposes it in front
 // of the user's sink (events are forwarded unchanged), so attaching it
@@ -32,7 +35,8 @@
 // is a pure function of (schedule, seed). Under threads, site-local events
 // carry ts = 0 (no engine clock); set_event_clock(false) makes the tracker
 // stamp sends/activations with its own steady clock at emit time instead,
-// which is exactly the wall-clock visibility latency.
+// which is exactly the wall-clock visibility latency. The thread sampler
+// stamps its ticks with wall_now(), the same clock.
 #pragma once
 
 #include <atomic>
@@ -195,12 +199,14 @@ class LiveTelemetry final : public TraceSink {
   void emit(const TraceEvent& event) override;
 
   // -- sampler side (called by the engine's periodic driver) --
+  /// Appends one row stamped `now`: the DES clock, or wall_now() under
+  /// threads.
   void record_sample(SimTime now, const StackGauges& gauges);
   std::uint64_t samples_recorded() const {
     return samples_taken_.load(std::memory_order_relaxed);
   }
   /// µs since construction on this object's steady clock (the thread
-  /// substrate's sample timestamps).
+  /// substrate's event and sample timestamps).
   SimTime wall_now() const;
 
   // -- results --

@@ -52,10 +52,6 @@ enum class TraceEventType : std::uint8_t {
   kLogMerge,
   /// Protocol pruned/purged its log (a = entries before, b = entries after).
   kLogPrune,
-  /// Periodic causal-log occupancy sample (the LogSampler hook, see
-  /// ClusterConfig::log_sample_interval): a = log entry count, b =
-  /// serialized local meta-data bytes at the sample instant.
-  kLogSample,
   /// The fault-injection layer discarded a packet (probabilistic loss or a
   /// scripted pause window; site = sender, peer = destination, b = bytes).
   /// Strictly a causim::faults event — never emitted by protocol code.
@@ -72,7 +68,10 @@ enum class TraceEventType : std::uint8_t {
   /// Periodic per-site instant from the live time-series sampler
   /// (obs::live, see ClusterConfig::live): a = pending (buffered) SM count
   /// at the sample instant, b = the sampler's monotonically increasing
-  /// sample ordinal. Emitted only when live telemetry is attached.
+  /// sample ordinal, c = causal-log entry count, d = serialized causal-log
+  /// bytes. ts is the tick's timeseries-row timestamp on every substrate.
+  /// Emitted only when live telemetry with a sample interval is attached;
+  /// obs::analysis builds the log-occupancy series from these events.
   kTimeSample,
   /// Provenance span: one segment of a buffered SM's dependency wait. The
   /// activation predicate named a specific blocking dependency (see
@@ -111,7 +110,6 @@ inline const char* to_string(TraceEventType t) {
     case TraceEventType::kFetchServed: return "fetch_served";
     case TraceEventType::kLogMerge: return "log_merge";
     case TraceEventType::kLogPrune: return "log_prune";
-    case TraceEventType::kLogSample: return "log_sample";
     case TraceEventType::kDrop: return "drop";
     case TraceEventType::kRetransmit: return "retransmit";
     case TraceEventType::kRttSample: return "rtt_sample";
@@ -140,13 +138,13 @@ struct TraceEvent {
   /// Type-specific arguments (see the enum's comments).
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  /// Provenance arguments (PR 7): the packed WriteId of the event's SM and
-  /// the packed blocking dependency, where each event type uses them.
-  /// kSend (SM), kBuffered and kActivated carry c = pack_write_id(write);
-  /// kBuffered additionally carries d = the packed blocking dependency;
-  /// kDepSatisfied uses both (see the enum). 0 everywhere else, and 0 on
-  /// traces recorded before the fields existed — readers must treat 0 as
-  /// "not recorded".
+  /// Two more type-specific arguments. Provenance: kSend (SM), kBuffered
+  /// and kActivated carry c = pack_write_id(write); kBuffered additionally
+  /// carries d = the packed blocking dependency; kDepSatisfied uses both.
+  /// kTimeSample carries c = log entries, d = log bytes, and
+  /// kGatewayForward the origin/destination cells (see the enum). 0
+  /// everywhere else, and 0 on traces recorded before the fields existed —
+  /// readers must treat 0 as "not recorded".
   std::uint64_t c = 0;
   std::uint64_t d = 0;
 };

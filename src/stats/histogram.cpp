@@ -95,13 +95,16 @@ double Histogram::quantile(double q) const {
   CAUSIM_CHECK(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
   const std::uint64_t total = summary_.count();
   if (total == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total));
+  // Nearest rank, computed exactly as the exact-sample oracles compute it,
+  // so both pick the same sample even when q·n is a whole number.
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
     // Clamp the bucket's upper edge to the observed max: a lone sample in a
     // wide bucket should not report a quantile beyond anything recorded.
-    if (seen > target) {
+    if (seen >= rank) {
       return std::min(bucket_edge(i), summary_.max());
     }
   }

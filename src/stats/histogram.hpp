@@ -64,8 +64,8 @@ class Histogram {
   std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
 
   /// q in [0,1]; returns the upper edge of the bucket holding the
-  /// q-quantile, clamped to the observed max when the quantile lands in
-  /// the overflow bucket. 0 when empty.
+  /// nearest-rank q-quantile (the max(1, ⌈q·n⌉)-th smallest sample),
+  /// clamped to the observed max. 0 when empty.
   double quantile(double q) const;
 
   // The conventional latency quantiles, including the p999 tail.

@@ -22,6 +22,7 @@
 
 #include "dsm/cluster.hpp"
 #include "obs/analysis/analysis.hpp"
+#include "obs/live/live_telemetry.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_sink.hpp"
 #include "workload/schedule.hpp"
@@ -185,7 +186,12 @@ TEST(FaultEquivalence, DisabledStackLeavesReportByteIdentical) {
     dsm::ClusterConfig config = base_config(causal::ProtocolKind::kOptTrack, 17);
     obs::RingBufferSink sink;
     config.trace_sink = &sink;
-    config.log_sample_interval = 50 * kMillisecond;
+    obs::live::LiveConfig live_config;
+    live_config.sites = config.sites;
+    live_config.variables = config.variables;
+    live_config.sample_interval = 50 * kMillisecond;
+    obs::live::LiveTelemetry sampler(live_config);
+    config.live = &sampler;
     dsm::Cluster cluster(config);
     EXPECT_EQ(cluster.injector(), nullptr);
     EXPECT_EQ(cluster.reliable(), nullptr);

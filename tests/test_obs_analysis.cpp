@@ -1,10 +1,13 @@
 // Tests for causim::obs::analysis — the JSON document model, the trace
-// reader, the LogSampler, and the analysis engine's headline guarantees:
-// a handcrafted schedule yields an exact activation latency, the report is
-// a pure function of (schedule, seed), and a trace that round-trips
-// through the Chrome JSON produces a byte-identical report.
+// reader, log-occupancy sampling (the live sampler's time_sample events),
+// and the analysis engine's headline guarantees: a handcrafted schedule
+// yields an exact activation latency, the report is a pure function of
+// (schedule, seed), and a trace that round-trips through the Chrome JSON
+// produces a byte-identical report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,13 +15,29 @@
 #include "dsm/cluster.hpp"
 #include "obs/analysis/analysis.hpp"
 #include "obs/analysis/trace_reader.hpp"
+#include "obs/live/live_telemetry.hpp"
 #include "obs/perfetto_export.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/latency.hpp"
+#include "topo/topology.hpp"
 #include "workload/schedule.hpp"
 
 namespace causim::obs::analysis {
 namespace {
+
+/// Attaches a live tracker sampling every `interval` to `config`: its
+/// per-site time_sample events are what the report's log occupancy is
+/// built from. The tracker must outlive the cluster.
+std::unique_ptr<live::LiveTelemetry> attach_sampler(dsm::ClusterConfig& config,
+                                                    SimTime interval) {
+  live::LiveConfig lc;
+  lc.sites = config.sites;
+  lc.variables = config.variables;
+  lc.sample_interval = interval;
+  auto tracker = std::make_unique<live::LiveTelemetry>(lc);
+  config.live = tracker.get();
+  return tracker;
+}
 
 // ---- Json document model ----
 
@@ -78,8 +97,7 @@ TEST(Json, EscapeHandlesQuotesBackslashesAndControlChars) {
 // causal past), and writes the dependent y at 50 ms. At site 2, y's SM
 // arrives at 60 ms but x only at 200 ms, so y must buffer for exactly
 // 140 ms before the activation predicate lets it apply.
-std::vector<TraceEvent> run_triangle(RingBufferSink& sink,
-                                     SimTime log_sample_interval = 0) {
+std::vector<TraceEvent> run_triangle(RingBufferSink& sink, SimTime sample_interval = 0) {
   dsm::ClusterConfig config;
   config.sites = 3;
   config.variables = 2;
@@ -87,7 +105,8 @@ std::vector<TraceEvent> run_triangle(RingBufferSink& sink,
   config.protocol = causal::ProtocolKind::kOptTrack;
   config.record_history = false;
   config.trace_sink = &sink;
-  config.log_sample_interval = log_sample_interval;
+  std::unique_ptr<live::LiveTelemetry> sampler;
+  if (sample_interval > 0) sampler = attach_sampler(config, sample_interval);
   const SimTime near = 10 * kMillisecond;
   const SimTime far = 200 * kMillisecond;
   config.latency_model = std::make_shared<sim::GeoLatency>(
@@ -131,14 +150,14 @@ TEST(Analyze, HandcraftedScheduleYieldsExactActivationLatency) {
   EXPECT_GT(sm.bytes, 0u);
 }
 
-// ---- LogSampler ----
+// ---- log-occupancy sampling ----
 
 TEST(LogSampler, EmitsOccupancySeriesWhenEnabled) {
   RingBufferSink sink;
-  const auto events = run_triangle(sink, /*log_sample_interval=*/20 * kMillisecond);
+  const auto events = run_triangle(sink, /*sample_interval=*/20 * kMillisecond);
   std::size_t samples = 0;
   for (const TraceEvent& e : events) {
-    if (e.type == TraceEventType::kLogSample) {
+    if (e.type == TraceEventType::kTimeSample) {
       ++samples;
       EXPECT_LT(e.site, 3u);
     }
@@ -152,20 +171,23 @@ TEST(LogSampler, EmitsOccupancySeriesWhenEnabled) {
   for (const auto& [site, occ] : report.occupancy) {
     EXPECT_GT(occ.samples, 0u) << "site " << site;
     EXPECT_EQ(occ.samples, occ.entries.count());
+    EXPECT_GT(occ.bytes.max(), 0.0) << "site " << site;
     EXPECT_FALSE(occ.series.empty());
   }
 }
 
 TEST(LogSampler, DisabledByDefault) {
   RingBufferSink sink;
-  for (const TraceEvent& e : run_triangle(sink)) {
-    EXPECT_NE(e.type, TraceEventType::kLogSample);
+  const auto events = run_triangle(sink);
+  for (const TraceEvent& e : events) {
+    EXPECT_NE(e.type, TraceEventType::kTimeSample);
   }
+  EXPECT_TRUE(analyze(events).occupancy.empty());
 }
 
 TEST(LogSampler, SeriesDownsamplesToBoundedPoints) {
   RingBufferSink sink;
-  const auto events = run_triangle(sink, /*log_sample_interval=*/kMillisecond);
+  const auto events = run_triangle(sink, /*sample_interval=*/kMillisecond);
   AnalysisOptions options;
   options.max_series_points = 16;
   const AnalysisReport report = analyze(events, options);
@@ -177,7 +199,11 @@ TEST(LogSampler, SeriesDownsamplesToBoundedPoints) {
 
 // ---- determinism & round-trip ----
 
-std::vector<TraceEvent> run_partial(std::uint64_t seed, RingBufferSink& sink) {
+/// A partial-replication Opt-Track run with the 100 ms sampler. `geo`
+/// adds batching and a two-cell topology with the gateway on, so the trace
+/// also carries batch_flush and gateway_forward events.
+std::vector<TraceEvent> run_partial(std::uint64_t seed, RingBufferSink& sink,
+                                    bool geo = false) {
   dsm::ClusterConfig config;
   config.sites = 4;
   config.variables = 20;
@@ -186,7 +212,17 @@ std::vector<TraceEvent> run_partial(std::uint64_t seed, RingBufferSink& sink) {
   config.record_history = false;
   config.seed = seed;
   config.trace_sink = &sink;
-  config.log_sample_interval = 100 * kMillisecond;
+  const auto sampler = attach_sampler(config, 100 * kMillisecond);
+  if (geo) {
+    config.batch.enabled = true;
+    config.batch.max_messages = 4;
+    topo::LinkProfile inter;
+    inter.latency_lo = inter.latency_hi = 40 * kMillisecond;
+    config.topology = topo::Topology::blocks(config.sites, 2, topo::LinkProfile{}, inter);
+    config.gateway.enabled = true;
+    config.gateway.max_messages = 4;
+    config.gateway.max_delay = 5 * kMillisecond;
+  }
 
   workload::WorkloadParams wl;
   wl.variables = config.variables;
@@ -208,21 +244,31 @@ TEST(Analyze, ReportIsAPureFunctionOfScheduleAndSeed) {
 }
 
 TEST(Analyze, TraceJsonRoundTripMatchesInMemoryReport) {
-  RingBufferSink sink;
-  const auto events = run_partial(7, sink);
-  AnalysisOptions options;
-  options.dropped = sink.dropped();
-  const std::string direct = analyze(events, options).json();
+  // The geo run's trace holds every layer's event types, so a name the
+  // reader does not know shows up as a lost event.
+  for (const bool geo : {false, true}) {
+    RingBufferSink sink;
+    const auto events = run_partial(7, sink, geo);
+    for (const TraceEventType t :
+         {TraceEventType::kBatchFlush, TraceEventType::kGatewayForward}) {
+      const bool seen = std::any_of(events.begin(), events.end(),
+                                    [t](const TraceEvent& e) { return e.type == t; });
+      EXPECT_EQ(seen, geo) << to_string(t);
+    }
+    AnalysisOptions options;
+    options.dropped = sink.dropped();
+    const std::string direct = analyze(events, options).json();
 
-  std::string error;
-  const Json doc = Json::parse(chrome_trace_string(events, sink.dropped()), &error);
-  ASSERT_TRUE(error.empty()) << error;
-  const auto trace = read_chrome_trace(doc, &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  EXPECT_EQ(trace->events.size(), events.size());
-  AnalysisOptions rt_options;
-  rt_options.dropped = trace->dropped;
-  EXPECT_EQ(analyze(trace->events, rt_options).json(), direct);
+    std::string error;
+    const Json doc = Json::parse(chrome_trace_string(events, sink.dropped()), &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const auto trace = read_chrome_trace(doc, &error);
+    ASSERT_TRUE(trace.has_value()) << error;
+    EXPECT_EQ(trace->events.size(), events.size()) << "geo=" << geo;
+    AnalysisOptions rt_options;
+    rt_options.dropped = trace->dropped;
+    EXPECT_EQ(analyze(trace->events, rt_options).json(), direct) << "geo=" << geo;
+  }
 }
 
 TEST(Analyze, ReportJsonParsesAndCarriesTheSchema) {

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "stats/histogram.hpp"
@@ -126,8 +127,15 @@ TEST(Histogram, P999TracksTail) {
   Histogram h(0, 10000, 10000);
   for (int i = 0; i < 999; ++i) h.record(10);
   h.record(9000);
-  // One sample in a thousand sits at 9000: p99 stays at the bulk, p999
-  // reaches into the tail.
+  // One sample in a thousand sits at 9000. p999 is the 999th smallest
+  // (nearest rank ⌈0.999·1000⌉), still the bulk; only q = 1 sees the
+  // outlier.
+  EXPECT_NEAR(h.p99(), 10, 2);
+  EXPECT_NEAR(h.p999(), 10, 2);
+  EXPECT_NEAR(h.quantile(1.0), 9000, 10);
+  // A second outlier puts the 1000th of 1001 samples in the tail, and p999
+  // reaches it.
+  h.record(9000);
   EXPECT_NEAR(h.p99(), 10, 2);
   EXPECT_NEAR(h.p999(), 9000, 10);
   EXPECT_LE(h.p50(), h.p90());
@@ -235,33 +243,36 @@ TEST(Histogram, LogScaleQuantileMatchesSortedOracle) {
   const double lo = 1.0, hi = 1e7;
   const std::size_t bpd = 16;
   const double ratio = std::pow(10.0, 1.0 / static_cast<double>(bpd));
+  const auto expect_matches_oracle = [&](std::vector<double> samples,
+                                         const std::string& what) {
+    Histogram h = Histogram::log_scale(lo, hi, bpd);
+    for (const double x : samples) h.record(x);
+    std::sort(samples.begin(), samples.end());
+    const std::size_t n = samples.size();
+    for (const double q : {0.05, 0.25, 0.5, 0.9, 0.99, 0.999}) {
+      const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+      const double exact = samples[std::min(samples.size() - 1,
+                                            rank == 0 ? 0 : rank - 1)];
+      const double streamed = h.quantile(q);
+      EXPECT_GE(streamed, exact - 1e-9) << "q=" << q << " " << what;
+      EXPECT_LE(streamed, std::max(exact * ratio, lo * ratio) + 1e-9)
+          << "q=" << q << " " << what << " exact=" << exact;
+    }
+    // And the histogram's max is exact, not bucketed.
+    EXPECT_DOUBLE_EQ(h.quantile(1.0), samples.back()) << what;
+  };
+  // q·n whole, with the rank-th and next samples either side of the 1000
+  // bucket edge: the streamed quantile must pick the rank-th, not the next.
+  expect_matches_oracle({500, 998.97, 1001, 5000}, "edge");
   std::mt19937_64 rng(0xfeedbeef);
   // Long-tailed latency-like data: log-normal, occasionally huge.
   std::lognormal_distribution<double> body(3.0, 1.7);
   for (int trial = 0; trial < 5; ++trial) {
-    Histogram h = Histogram::log_scale(lo, hi, bpd);
     std::vector<double> samples;
     const int n = 2000 + trial * 1777;
     samples.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const double x = std::min(body(rng), hi - 1.0);
-      samples.push_back(x);
-      h.record(x);
-    }
-    std::sort(samples.begin(), samples.end());
-    for (const double q : {0.05, 0.25, 0.5, 0.9, 0.99, 0.999}) {
-      const auto rank = static_cast<std::size_t>(
-          std::ceil(q * static_cast<double>(n))) ;
-      const double exact = samples[std::min(samples.size() - 1,
-                                            rank == 0 ? 0 : rank - 1)];
-      const double streamed = h.quantile(q);
-      EXPECT_GE(streamed, exact - 1e-9)
-          << "q=" << q << " trial=" << trial;
-      EXPECT_LE(streamed, std::max(exact * ratio, lo * ratio) + 1e-9)
-          << "q=" << q << " trial=" << trial << " exact=" << exact;
-    }
-    // And the histogram's max is exact, not bucketed.
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), samples.back());
+    for (int i = 0; i < n; ++i) samples.push_back(std::min(body(rng), hi - 1.0));
+    expect_matches_oracle(std::move(samples), "trial=" + std::to_string(trial));
   }
 }
 

@@ -35,7 +35,9 @@ structurally wrong:
   report  — analysis report JSON (schema causim.analysis.v1): the derived
             sections (including `faults`) exist, events > 0, buffered <=
             applies, activation quantiles are ordered, SM sends were
-            attributed, and per-site fault activity sums to the totals.
+            attributed, per-site fault activity sums to the totals, and
+            every site has a log_occupancy series with samples > 0 (a
+            traced cell that lost its sampler fails).
   diff    — A/B comparison JSON (schema causim.analysis.diff.v1) with a
             structural `diff` object.
   timeseries — live sampler stream (schema causim.timeseries.v1):
@@ -300,6 +302,9 @@ def check_report(path: str) -> None:
             fail(f"{path}: faults per-site {field} sum {site_sum} != "
                  f"total {ftotal[field]}")
     sites = doc["log_occupancy"]["per_site"]
+    for site in range(doc.get("sites", 0)):
+        if sites.get(str(site), {}).get("samples", 0) <= 0:
+            fail(f"{path}: site {site} has no log_occupancy samples")
     for site, occ in sites.items():
         if occ.get("samples", 0) != occ.get("entries", {}).get("count", -1):
             fail(f"{path}: site {site} sample/summary count mismatch: {occ}")

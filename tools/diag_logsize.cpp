@@ -1,12 +1,13 @@
 // Diagnostic: Opt-Track log behaviour under different write rates, derived
-// from the structured trace through the LogSampler + analysis engine (the
-// same path as `--report-out` / causim-trace) instead of poking at the
-// protocol's log directly.
+// from the structured trace through the live sampler's time_sample events
+// and the analysis engine (the same path as `--report-out` / causim-trace)
+// instead of poking at the protocol's log directly.
 #include <cstdio>
 
 #include "bench_support/experiment.hpp"
 #include "dsm/cluster.hpp"
 #include "obs/analysis/analysis.hpp"
+#include "obs/live/live_telemetry.hpp"
 #include "obs/trace_sink.hpp"
 #include "workload/schedule.hpp"
 
@@ -24,7 +25,12 @@ int main() {
     config.seed = 1;
     config.record_history = false;
     config.trace_sink = &sink;
-    config.log_sample_interval = 500 * kMillisecond;
+    obs::live::LiveConfig live_config;
+    live_config.sites = config.sites;
+    live_config.variables = config.variables;
+    live_config.sample_interval = 500 * kMillisecond;
+    obs::live::LiveTelemetry live(live_config);
+    config.live = &live;
 
     workload::WorkloadParams wl;
     wl.variables = 100;
