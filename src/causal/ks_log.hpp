@@ -13,9 +13,14 @@
 // constraints, but during MERGE it suppresses the resurrection of dest info
 // another site still carries for the same write. PURGE keeps at most the
 // most recent such marker per writer (the paper's rule).
+//
+// Representation: one vector of {WriteId, DestSet} entries sorted by
+// (writer, clock), so a log is one allocation and every operation is one
+// linear pass (merge walks the two sorted runs together). Every site keeps
+// one log per variable it holds (the LastWriteOn logs), so stored logs
+// carry no geometric slack: add() grows the capacity by one entry.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "common/dest_set.hpp"
@@ -34,7 +39,7 @@ class KsLog {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  bool contains(const WriteId& id) const { return entries_.count(id) != 0; }
+  bool contains(const WriteId& id) const { return find(id) != nullptr; }
   const DestSet* find(const WriteId& id) const;
 
   /// Adds an entry, maintaining the KS implicit-tracking invariant:
@@ -88,10 +93,20 @@ class KsLog {
   /// Highest clock present for `writer`, 0 if none.
   WriteClock max_clock_of(SiteId writer) const;
 
+  /// The KS activation predicate's witness: the first entry, in (writer,
+  /// clock) order, that still names `site` as a destination of a write
+  /// `applied` has not reached (applied[writer] < clock). nullptr means
+  /// every write this log orders before `site`'s next apply is applied.
+  const WriteId* first_unapplied(SiteId site,
+                                 const std::vector<WriteClock>& applied) const;
+
+  /// The entries whose dest lists still name `site`, as a log of their own.
+  KsLog naming(SiteId site) const;
+
   /// Iterates entries in (writer, clock) order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [id, dests] : entries_) fn(id, dests);
+    for (const Entry& e : entries_) fn(e.id, e.dests);
   }
 
   bool operator==(const KsLog& other) const {
@@ -101,14 +116,26 @@ class KsLog {
   void clear() { entries_.clear(); }
 
   void serialize(serial::ByteWriter& w) const;
+  /// Decodes a serialized log in wire order. Besides the reader's own
+  /// errors, an entry whose universe differs from the log's, whose writer
+  /// lies outside it, or whose id does not follow its predecessor's in
+  /// (writer, clock) order is malformed: the reader latches !ok() and the
+  /// entries decoded so far are returned.
   static KsLog deserialize(serial::ByteReader& r);
 
   /// Exact serialized size: count (u16) + per entry WriteId + dest list.
   std::size_t wire_bytes(serial::ClockWidth cw) const;
 
  private:
+  struct Entry {
+    WriteId id;
+    DestSet dests;
+    bool operator==(const Entry&) const = default;
+  };
+  static_assert(sizeof(Entry) <= 32, "a log entry is a WriteId plus an inline DestSet");
+
   SiteId n_ = 0;
-  std::map<WriteId, DestSet> entries_;
+  std::vector<Entry> entries_;  // sorted by id, ids unique
 };
 
 }  // namespace causim::causal

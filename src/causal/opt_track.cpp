@@ -61,25 +61,17 @@ bool OptTrack::ready(const PendingUpdate& u) const {
   // here is always among the piggybacked entries (its entry keeps this site
   // in its dest list until a newer write to this site supersedes it), so
   // per-writer program order needs no separate check.
-  bool ok = true;
-  p.piggyback.for_each([&](const WriteId& id, const DestSet& dests) {
-    if (ok && dests.contains(self_) && apply_[id.writer] < id.clock) ok = false;
-  });
-  return ok;
+  return p.piggyback.first_unapplied(self_, apply_) == nullptr;
 }
 
 BlockingDep OptTrack::blocking_dep(const PendingUpdate& u) const {
   const auto& p = static_cast<const Pending&>(u);
-  // The piggybacked log iterates in WriteId order (a std::map), so "first
-  // failing entry" is deterministic. The entry names the blocker directly:
-  // a write destined here whose clock this site has not applied yet.
-  BlockingDep dep;
-  p.piggyback.for_each([&](const WriteId& id, const DestSet& dests) {
-    if (!dep.valid() && dests.contains(self_) && apply_[id.writer] < id.clock) {
-      dep = BlockingDep{id.writer, id.clock};
-    }
-  });
-  return dep;
+  // The piggybacked log is sorted by WriteId, so "first failing entry" is
+  // deterministic. The entry names the blocker directly: a write destined
+  // here whose clock this site has not applied yet.
+  const WriteId* blocker = p.piggyback.first_unapplied(self_, apply_);
+  if (blocker == nullptr) return BlockingDep{};
+  return BlockingDep{blocker->writer, blocker->clock};
 }
 
 void OptTrack::apply(const PendingUpdate& u) {
@@ -131,11 +123,7 @@ std::unique_ptr<PendingReturn> OptTrack::decode_remote_return(
 
 bool OptTrack::return_ready(const PendingReturn& r) const {
   const auto& ret = static_cast<const OptTrackReturn&>(r);
-  bool ok = true;
-  ret.log.for_each([&](const WriteId& id, const DestSet& dests) {
-    if (ok && dests.contains(self_) && apply_[id.writer] < id.clock) ok = false;
-  });
-  return ok;
+  return ret.log.first_unapplied(self_, apply_) == nullptr;
 }
 
 void OptTrack::absorb_remote_return(VarId var, const PendingReturn& r) {
@@ -166,11 +154,7 @@ struct OptTrackGuard final : FetchGuard {
 }  // namespace
 
 void OptTrack::fetch_guard_meta(SiteId responder, serial::ByteWriter& out) const {
-  KsLog guard(n_);
-  log_.for_each([&](const WriteId& id, const DestSet& dests) {
-    if (dests.contains(responder)) guard.add(id, dests);
-  });
-  guard.serialize(out);
+  log_.naming(responder).serialize(out);
 }
 
 std::unique_ptr<FetchGuard> OptTrack::decode_fetch_guard(serial::ByteReader& meta) const {
@@ -181,11 +165,7 @@ std::unique_ptr<FetchGuard> OptTrack::decode_fetch_guard(serial::ByteReader& met
 
 bool OptTrack::fetch_ready(const FetchGuard& guard) const {
   const auto& g = static_cast<const OptTrackGuard&>(guard);
-  bool ok = true;
-  g.log.for_each([&](const WriteId& id, const DestSet& dests) {
-    if (ok && dests.contains(self_) && apply_[id.writer] < id.clock) ok = false;
-  });
-  return ok;
+  return g.log.first_unapplied(self_, apply_) == nullptr;
 }
 
 const KsLog* OptTrack::last_write_log(VarId var) const {

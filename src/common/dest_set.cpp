@@ -1,84 +1,83 @@
 #include "common/dest_set.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <sstream>
 
 #include "common/panic.hpp"
 
 namespace causim {
 
+DestSet& DestSet::assign_spilled(const DestSet& other) {
+  if (this == &other) return *this;
+  if (other.spilled()) {
+    // Reuse the heap array when it already has the right size (the common
+    // case: every set in a log shares one universe).
+    if (!spilled() || word_count() != other.word_count()) {
+      auto* words = new std::uint64_t[other.word_count()];
+      if (spilled()) delete[] heap_;
+      heap_ = words;
+    }
+    n_ = other.n_;
+    std::copy_n(other.heap_, word_count(), heap_);
+  } else {
+    if (spilled()) delete[] heap_;
+    n_ = other.n_;
+    inline_[0] = other.inline_[0];
+    inline_[1] = other.inline_[1];
+  }
+  return *this;
+}
+
 DestSet DestSet::all(SiteId n) {
   DestSet s(n);
-  for (std::size_t w = 0; w < s.words_.size(); ++w) s.words_[w] = ~0ULL;
+  std::uint64_t* words = s.data();
+  std::fill_n(words, s.word_count(), ~0ULL);
   // Clear bits beyond n-1 in the last word.
   const unsigned tail = n % 64;
-  if (tail != 0 && !s.words_.empty()) {
-    s.words_.back() &= (1ULL << tail) - 1;
-  }
+  if (tail != 0) words[s.word_count() - 1] &= (1ULL << tail) - 1;
   return s;
 }
 
-void DestSet::insert(SiteId s) {
-  CAUSIM_CHECK(s < n_, "site " << s << " outside universe of size " << n_);
-  words_[s / 64] |= 1ULL << (s % 64);
-}
-
-void DestSet::erase(SiteId s) {
-  if (s >= n_) return;
-  words_[s / 64] &= ~(1ULL << (s % 64));
-}
-
-bool DestSet::contains(SiteId s) const {
-  if (s >= n_) return false;
-  return (words_[s / 64] >> (s % 64)) & 1;
+void DestSet::outside_universe(SiteId s) const {
+  std::ostringstream os;
+  os << "site " << s << " outside universe of size " << n_;
+  panic(__FILE__, __LINE__, os.str());
 }
 
 SiteId DestSet::count() const {
   std::size_t c = 0;
-  for (std::uint64_t w : words_) c += std::popcount(w);
+  const std::uint64_t* words = data();
+  for (std::size_t i = 0; i < word_count(); ++i) c += std::popcount(words[i]);
   return static_cast<SiteId>(c);
 }
 
-bool DestSet::empty() const {
-  for (std::uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-DestSet& DestSet::operator|=(const DestSet& other) {
-  CAUSIM_CHECK(n_ == other.n_, "universe mismatch " << n_ << " vs " << other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-DestSet& DestSet::operator&=(const DestSet& other) {
-  CAUSIM_CHECK(n_ == other.n_, "universe mismatch " << n_ << " vs " << other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-DestSet& DestSet::operator-=(const DestSet& other) {
-  CAUSIM_CHECK(n_ == other.n_, "universe mismatch " << n_ << " vs " << other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
-  return *this;
+void DestSet::universe_mismatch(const DestSet& other) const {
+  std::ostringstream os;
+  os << "universe mismatch " << n_ << " vs " << other.n_;
+  panic(__FILE__, __LINE__, os.str());
 }
 
 bool DestSet::operator==(const DestSet& other) const {
-  return n_ == other.n_ && words_ == other.words_;
+  return n_ == other.n_ && std::equal(data(), data() + word_count(), other.data());
 }
 
 bool DestSet::is_subset_of(const DestSet& other) const {
-  CAUSIM_CHECK(n_ == other.n_, "universe mismatch " << n_ << " vs " << other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
+  check_universe(other);
+  const std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    if ((words[i] & ~theirs[i]) != 0) return false;
   }
   return true;
 }
 
 bool DestSet::intersects(const DestSet& other) const {
-  CAUSIM_CHECK(n_ == other.n_, "universe mismatch " << n_ << " vs " << other.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
+  check_universe(other);
+  const std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < word_count(); ++i) {
+    if ((words[i] & theirs[i]) != 0) return true;
   }
   return false;
 }
@@ -88,12 +87,6 @@ std::vector<SiteId> DestSet::to_vector() const {
   out.reserve(count());
   for_each([&out](SiteId s) { out.push_back(s); });
   return out;
-}
-
-void DestSet::set_words(SiteId n, std::vector<std::uint64_t> words) {
-  CAUSIM_CHECK(words.size() == (n + 63u) / 64u, "word count mismatch for universe " << n);
-  n_ = n;
-  words_ = std::move(words);
 }
 
 }  // namespace causim

@@ -35,11 +35,7 @@ std::unique_ptr<PendingMessage> KsProcess::decode(SiteId sender, const WriteId& 
 }
 
 bool KsProcess::deliverable(const PendingMessage& m) const {
-  bool ok = true;
-  m.piggyback().for_each([&](const WriteId& id, const DestSet& dests) {
-    if (ok && dests.contains(self_) && delivered_[id.writer] < id.clock) ok = false;
-  });
-  return ok;
+  return m.piggyback().first_unapplied(self_, delivered_) == nullptr;
 }
 
 void KsProcess::deliver(const PendingMessage& m) {

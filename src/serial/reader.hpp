@@ -1,8 +1,9 @@
 // ByteReader — bounds-checked decoder for the causim wire format.
 //
 // Mirrors ByteWriter exactly. Malformed input (out-of-bounds read,
-// overlong varint, dest-set member outside its universe) is a recoverable
-// decode error, not a panic: the failing read returns a zero value without
+// overlong varint, dest-set member outside its universe, or a broken
+// structure rule a decoder reports through fail()) is a recoverable decode
+// error, not a panic: the failing read returns a zero value without
 // advancing, the reader latches ok() == false, and every subsequent read
 // also fails. Callers that treat malformed bytes as a protocol bug —
 // everything decoding frames the simulation itself produced — assert
@@ -45,16 +46,19 @@ class ByteReader {
   /// intermediate zero returns are indistinguishable from real zeros.
   bool ok() const { return ok_; }
 
+  /// Latches the error; returns 0 so failing reads can `return fail()`.
+  /// Decoders call it too when values read fine but break a rule of the
+  /// structure they form (e.g. a KS log whose entries are out of order).
+  std::uint64_t fail() {
+    ok_ = false;
+    return 0;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
 
  private:
   std::uint64_t get_fixed(std::size_t width);
-  /// Latches the error; returns 0 so failing reads can `return fail()`.
-  std::uint64_t fail() {
-    ok_ = false;
-    return 0;
-  }
 
   const std::uint8_t* buf_;
   std::size_t size_;

@@ -89,6 +89,98 @@ TEST(DestSet, EqualityRequiresSameUniverse) {
   EXPECT_FALSE(DestSet(4, {1}) == DestSet(4, {2}));
 }
 
+// Universes on both sides of the inline/heap boundary (kInlineSites = 128).
+class DestSetStorage : public ::testing::TestWithParam<SiteId> {
+ protected:
+  // Members at both ends and in every word.
+  DestSet sample() const {
+    const SiteId n = GetParam();
+    DestSet d(n);
+    for (SiteId s = 0; s < n; s += 61) d.insert(s);
+    d.insert(n - 1);
+    return d;
+  }
+};
+
+TEST_P(DestSetStorage, CopyIsIndependent) {
+  const DestSet original = sample();
+  DestSet copy(original);
+  EXPECT_EQ(copy, original);
+  copy.erase(GetParam() - 1);
+  EXPECT_TRUE(original.contains(GetParam() - 1));
+  EXPECT_NE(copy, original);
+
+  DestSet assigned(GetParam());
+  assigned = original;
+  EXPECT_EQ(assigned, original);
+  assigned.insert(1);
+  EXPECT_FALSE(original.contains(1));
+}
+
+TEST_P(DestSetStorage, MoveTransfersMembers) {
+  const DestSet expected = sample();
+  DestSet source = sample();
+  DestSet moved(std::move(source));
+  EXPECT_EQ(moved, expected);
+
+  DestSet target(GetParam());
+  DestSet source2 = sample();
+  target = std::move(source2);
+  EXPECT_EQ(target, expected);
+  // A moved-from set stays usable.
+  source2 = expected;
+  EXPECT_EQ(source2, expected);
+}
+
+TEST_P(DestSetStorage, SelfAssignmentKeepsMembers) {
+  const DestSet expected = sample();
+  DestSet d = sample();
+  DestSet& alias = d;
+  d = alias;
+  EXPECT_EQ(d, expected);
+  d = std::move(alias);
+  EXPECT_EQ(d, expected);
+}
+
+TEST_P(DestSetStorage, AssignmentAcrossUniverses) {
+  // Every pairing of inline and heap storage, both directions.
+  for (const SiteId other_n : {SiteId{10}, SiteId{128}, SiteId{129}, SiteId{300}}) {
+    DestSet d = sample();
+    const DestSet other = DestSet::all(other_n);
+    d = other;
+    EXPECT_EQ(d, other);
+    EXPECT_EQ(d.count(), other_n);
+    d = sample();
+    EXPECT_EQ(d, sample());
+    DestSet moved_in = DestSet::all(other_n);
+    d = std::move(moved_in);
+    EXPECT_EQ(d, other);
+  }
+}
+
+TEST_P(DestSetStorage, SetOperationsMatchMemberLists) {
+  const SiteId n = GetParam();
+  DestSet odd(n);
+  DestSet low(n);
+  for (SiteId s = 0; s < n; ++s) {
+    if (s % 2 == 1) odd.insert(s);
+    if (s < n / 2) low.insert(s);
+  }
+  std::vector<SiteId> odd_low;
+  std::vector<SiteId> odd_high;
+  for (SiteId s = 1; s < n; s += 2) (s < n / 2 ? odd_low : odd_high).push_back(s);
+  EXPECT_EQ((odd & low).to_vector(), odd_low);
+  EXPECT_EQ((odd - low).to_vector(), odd_high);
+  EXPECT_EQ(static_cast<std::size_t>((odd | low).count()), n / 2 + odd_high.size());
+  EXPECT_TRUE((odd & low).is_subset_of(odd));
+  EXPECT_TRUE(odd.intersects(low));
+  EXPECT_EQ(DestSet::all(n).count(), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(InlineAndSpilled, DestSetStorage,
+                         ::testing::Values(SiteId{64}, SiteId{128}, SiteId{129},
+                                           SiteId{200}));
+
 using DestSetDeath = DestSet;
 
 TEST(DestSetDeathTest, InsertOutOfRangePanics) {

@@ -238,7 +238,9 @@ TEST(EnvelopeFuzz, RandomEnvelopeRoundTrip) {
     EXPECT_EQ(d->sender, e.sender);
     EXPECT_EQ(d->var, e.var);
     EXPECT_EQ(d->meta, e.meta);
-    if (e.kind != MessageKind::kSM) EXPECT_EQ(d->fetch_seq, e.fetch_seq);
+    if (e.kind != MessageKind::kSM) {
+      EXPECT_EQ(d->fetch_seq, e.fetch_seq);
+    }
     if (e.kind != MessageKind::kFM) {
       EXPECT_EQ(d->value, e.value);
       EXPECT_EQ(d->write, e.write);

@@ -1,7 +1,11 @@
 // Unit tests for KsLog — the Opt-Track log with the KS pruning rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "causal/ks_log.hpp"
+#include "sim/rng.hpp"
 
 namespace causim::causal {
 namespace {
@@ -167,6 +171,101 @@ TEST(KsLog, ForEachIteratesInWriterClockOrder) {
   EXPECT_EQ(order[0], (WriteId{1, 4}));
   EXPECT_EQ(order[1], (WriteId{1, 9}));
   EXPECT_EQ(order[2], (WriteId{2, 1}));
+}
+
+TEST(KsLog, DeserializeRejectsMalformedEntries) {
+  // Each body is two entries whose fields read fine but break a rule of the
+  // log: the reader must latch the error, and the first entry survives.
+  struct Case {
+    const char* what;
+    WriteId second;
+    SiteId second_universe;
+  };
+  for (const Case& c : {Case{"out of order", {1, 2}, kN},
+                        Case{"duplicate id", {2, 3}, kN},
+                        Case{"universe mismatch", {3, 1}, kN + 1},
+                        Case{"writer outside the universe", {kN, 1}, kN}}) {
+    serial::ByteWriter w;
+    w.put_u16(kN);
+    w.put_u16(2);
+    w.put_write_id({2, 3});
+    w.put_dest_set(dests({4}));
+    w.put_write_id(c.second);
+    w.put_dest_set(DestSet(c.second_universe, {1}));
+    serial::ByteReader r(w.bytes());
+    const KsLog log = KsLog::deserialize(r);
+    EXPECT_FALSE(r.ok()) << c.what;
+    EXPECT_EQ(log.size(), 1u) << c.what;
+  }
+}
+
+/// Decodes `bytes` as a KS log. A rejected decode must latch the reader's
+/// error; an accepted one must hold ids in strictly increasing order and
+/// survive its own round trip.
+bool decode_is_well_formed(const serial::Bytes& bytes, serial::ClockWidth cw) {
+  serial::ByteReader r(bytes, cw);
+  const KsLog log = KsLog::deserialize(r);
+  if (!r.ok()) return false;
+  std::vector<WriteId> ids;
+  log.for_each([&](const WriteId& id, const DestSet&) { ids.push_back(id); });
+  EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) ==
+              ids.end());
+  serial::ByteWriter w(cw);
+  log.serialize(w);
+  serial::ByteReader again(w.bytes(), cw);
+  EXPECT_EQ(KsLog::deserialize(again), log);
+  EXPECT_TRUE(again.ok() && again.done());
+  return true;
+}
+
+TEST(KsLogFuzz, TruncationAndBitFlipsNeverCrash) {
+  std::vector<KsLog> corpus;
+  {
+    KsLog two(kN);
+    two.add({1, 5}, dests({2, 3}));
+    two.add({4, 1}, dests({}));
+    corpus.push_back(two);
+
+    KsLog busy(kN);
+    for (SiteId w = 0; w < kN; ++w) {
+      busy.add({w, 7}, dests({static_cast<SiteId>((w + 1) % kN)}));
+      busy.add({w, 9}, DestSet::all(kN));
+    }
+    corpus.push_back(busy);
+
+    KsLog wide(200);  // dest sets stored on the heap
+    wide.add({3, 1}, DestSet(200, {0, 130, 199}));
+    wide.add({150, 2}, DestSet(200, {64, 128}));
+    corpus.push_back(wide);
+  }
+
+  sim::Pcg32 rng(2024);
+  for (const serial::ClockWidth cw :
+       {serial::ClockWidth::k4Bytes, serial::ClockWidth::k8Bytes}) {
+    for (const KsLog& log : corpus) {
+      serial::ByteWriter w(cw);
+      log.serialize(w);
+      const serial::Bytes& bytes = w.bytes();
+      ASSERT_TRUE(decode_is_well_formed(bytes, cw));
+      // Every strict prefix is short of the entries its count promises.
+      for (std::size_t len = 0; len < bytes.size(); ++len) {
+        const serial::Bytes head(bytes.begin(),
+                                 bytes.begin() + static_cast<std::ptrdiff_t>(len));
+        EXPECT_FALSE(decode_is_well_formed(head, cw)) << "prefix of " << len;
+      }
+      // Random byte flips, 1–4 at a time.
+      for (int trial = 0; trial < 500; ++trial) {
+        serial::Bytes mutated = bytes;
+        const int flips = 1 + static_cast<int>(rng.uniform_int(0, 3));
+        for (int f = 0; f < flips; ++f) {
+          const auto pos = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
+          mutated[pos] = static_cast<std::uint8_t>(rng.next_u32());
+        }
+        (void)decode_is_well_formed(mutated, cw);
+      }
+    }
+  }
 }
 
 }  // namespace
