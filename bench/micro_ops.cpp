@@ -219,7 +219,6 @@ void BM_ClusterExecutePooled(benchmark::State& state) {
   wl.ops_per_site = 40;
   const workload::Schedule schedule = workload::generate_schedule(config.sites, wl);
   dsm::ThreadCluster::Options options;
-  options.time_scale = 0.0;
   options.max_wire_delay_us = 0;
   std::size_t ops = 0;
   for (auto _ : state) {

@@ -126,7 +126,6 @@ ExperimentResult run_experiment(const ExperimentParams& params) {
       // jitter — the numbers measure the executor and the wire path, not
       // injected sleeps.
       dsm::ThreadCluster::Options topt;
-      topt.time_scale = 0.0;
       topt.max_wire_delay_us = 0;
       dsm::ThreadCluster cluster(config, topt);
       collect(cluster);
@@ -357,7 +356,7 @@ bool try_parse_bench_args(int argc, char** argv, BenchOptions& options,
       options.executor != engine::ExecutorKind::kPooled) {
     error =
         "--workers only applies to the pooled executor (the per-site default "
-        "always runs one thread per site); add --executor pooled";
+        "always runs one worker per site); add --executor pooled";
     return false;
   }
   if (options.gateway_set && options.gateway_on &&

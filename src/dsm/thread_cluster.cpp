@@ -8,7 +8,7 @@ ThreadCluster::ThreadCluster(const ClusterConfig& config)
     : ThreadCluster(config, Options()) {}
 
 ThreadCluster::ThreadCluster(const ClusterConfig& config, Options options)
-    : config_(config), options_(options) {
+    : config_(config) {
   engine::validate_or_panic(config_);
   net::ThreadTransport::Options topt;
   topt.max_delay_us = options.max_wire_delay_us;
@@ -19,17 +19,11 @@ ThreadCluster::ThreadCluster(const ClusterConfig& config, Options options)
   // The ThreadTimerDriver supplies real-time RTOs and injected delays.
   wiring.make_timer = [] { return std::make_unique<net::ThreadTimerDriver>(); };
   stack_ = std::make_unique<engine::NodeStack>(config_, std::move(wiring));
-  if (config_.executor == engine::ExecutorKind::kPooled) {
-    engine::PooledExecutor::Options popt;
-    popt.workers = config_.workers;
-    executor_ =
-        std::make_unique<engine::PooledExecutor>(*stack_, *transport_, popt);
-  } else {
-    engine::ThreadExecutor::Options xopt;
-    xopt.time_scale = options.time_scale;
-    executor_ =
-        std::make_unique<engine::ThreadExecutor>(*stack_, *transport_, xopt);
-  }
+  engine::PooledExecutor::Options popt;
+  popt.workers = config_.executor == engine::ExecutorKind::kPooled
+                     ? config_.workers
+                     : config_.sites;
+  executor_ = std::make_unique<engine::PooledExecutor>(*stack_, *transport_, popt);
   driver_ = std::make_unique<engine::ScheduleDriver>(*stack_, *executor_);
 }
 

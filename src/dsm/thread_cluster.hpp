@@ -3,15 +3,15 @@
 //
 // The cluster supplies the substrate-specific edges (ThreadTransport and
 // its ThreadTimerDriver) and delegates assembly to engine::NodeStack and
-// schedule execution to engine::ScheduleDriver plus the executor the
-// config selects: ThreadExecutor (the default — one application thread
-// per site, blocking on RemoteFetch exactly as §II-B prescribes) or
-// PooledExecutor (EngineConfig::executor = kPooled — N sites multiplexed
-// over a fixed worker pool, the throughput lane). Message counts and
-// sizes are schedule-determined and must match the discrete-event run bit
-// for bit where contents are interleaving-independent (counts,
-// Full-Track/optP clock sizes); the test suite asserts the
-// cross-transport and cross-executor equivalences that hold.
+// schedule execution to engine::ScheduleDriver plus the PooledExecutor:
+// every site's ops and deliveries run as tasks on the transport's worker
+// pool, one worker per site by default (EngineConfig::executor =
+// kPerSite) or EngineConfig::workers of them (kPooled, the throughput
+// lane). Message counts and sizes are schedule-determined and must match
+// the discrete-event run bit for bit where contents are
+// interleaving-independent (counts, Full-Track/optP clock sizes); the test
+// suite asserts the cross-transport and cross-executor equivalences that
+// hold.
 #pragma once
 
 #include <memory>
@@ -30,9 +30,6 @@ namespace causim::dsm {
 class ThreadCluster {
  public:
   struct Options {
-    /// Sleep schedule gaps scaled by this factor (0 = run at full speed;
-    /// 1e-6 turns a millisecond of schedule time into a microsecond).
-    double time_scale = 0.0;
     /// Maximum artificial wire delay in real microseconds.
     std::int64_t max_wire_delay_us = 500;
   };
@@ -54,8 +51,8 @@ class ThreadCluster {
   /// above the raw DSM ops — see ScheduleDriver::set_dispatch_hook).
   engine::ScheduleDriver& driver() { return *driver_; }
 
-  /// Plays the schedule with one application thread per site, waits for
-  /// network quiescence, and verifies every update was applied.
+  /// Plays the schedule on the worker pool, waits for network quiescence,
+  /// and verifies every update was applied.
   void execute(const workload::Schedule& schedule);
 
   stats::MessageStats aggregate_message_stats() const;
@@ -68,10 +65,8 @@ class ThreadCluster {
 
  private:
   ClusterConfig config_;
-  Options options_;
   std::unique_ptr<net::ThreadTransport> transport_;
   std::unique_ptr<engine::NodeStack> stack_;
-  /// ThreadExecutor or PooledExecutor, per ClusterConfig::executor.
   std::unique_ptr<engine::Executor> executor_;
   std::unique_ptr<engine::ScheduleDriver> driver_;
 };

@@ -121,7 +121,7 @@ std::vector<std::string> validate(const EngineConfig& config) {
   if (config.executor == ExecutorKind::kPerSite && config.workers != 0) {
     std::ostringstream os;
     os << "workers (" << config.workers << ") is only meaningful with "
-       << "executor=pooled; the per-site executor always runs one thread per "
+       << "executor=pooled; the per-site executor always runs one worker per "
        << "site — set executor to ExecutorKind::kPooled or workers to 0";
     reject(os.str());
   }

@@ -33,14 +33,13 @@ namespace causim::engine {
 
 /// Which schedule-execution substrate a thread-backed cluster runs.
 enum class ExecutorKind : std::uint8_t {
-  /// One application thread per site (ThreadExecutor) — the paper's
-  /// one-process-per-site testbed, and the byte-identical default. The
-  /// discrete-event Cluster always uses SimExecutor and ignores this
-  /// field.
+  /// The worker pool with one worker per site — the width of the paper's
+  /// one-process-per-site testbed, and the default. The discrete-event
+  /// Cluster always uses SimExecutor and ignores this field.
   kPerSite = 0,
-  /// N sites multiplexed over a fixed pool of `workers` worker threads
-  /// (PooledExecutor): per-site serialized invokers on a shared ready
-  /// queue, the PaRiS/Okapi "many partitions per server" regime.
+  /// N sites multiplexed over a fixed pool of `workers` worker threads:
+  /// the PaRiS/Okapi "many partitions per server" regime. Both kinds run
+  /// PooledExecutor; only the pool width differs.
   kPooled,
 };
 
@@ -96,8 +95,7 @@ struct EngineConfig {
   /// timing does not.
   bool reliable_channel = false;
   net::ReliableConfig reliable_config;
-  /// Thread-path execution substrate (see ExecutorKind). The default
-  /// keeps ThreadCluster runs byte-identical to the pre-pool engine.
+  /// Thread-path pool width (see ExecutorKind).
   ExecutorKind executor = ExecutorKind::kPerSite;
   /// Worker threads for ExecutorKind::kPooled; 0 = one per hardware
   /// thread. Must stay 0 with the per-site executor (validated) — a

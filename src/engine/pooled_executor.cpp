@@ -1,9 +1,11 @@
 #include "engine/pooled_executor.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/panic.hpp"
 #include "net/thread_transport.hpp"
+#include "obs/live/live_telemetry.hpp"
 
 namespace causim::engine {
 
@@ -20,8 +22,7 @@ PooledExecutor::PooledExecutor(NodeStack& stack, net::ThreadTransport& transport
                                Options options)
     : stack_(stack),
       transport_(transport),
-      workers_target_(resolve_workers(options.workers)),
-      sampler_(stack) {}
+      workers_target_(resolve_workers(options.workers)) {}
 
 PooledExecutor::~PooledExecutor() { abort(); }
 
@@ -34,19 +35,11 @@ void PooledExecutor::play(ScheduleDriver& driver,
     schedule_ = &schedule;
     sites_ = std::make_unique<SiteState[]>(n);
     live_sites_.store(n, std::memory_order_release);
-    transport_.start();
+    stop_.store(false, std::memory_order_release);
+    transport_.start(workers_target_);
     started_ = true;
-    sampler_.start();
-    {
-      std::lock_guard lock(mutex_);
-      stop_.store(false, std::memory_order_release);
-      ready_.clear();
-      for (SiteId s = 0; s < n; ++s) ready_.push_back(s);
-    }
-    workers_.reserve(workers_target_);
-    for (unsigned i = 0; i < workers_target_; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
+    start_sampler();
+    for (SiteId s = 0; s < n; ++s) transport_.post(s, [this, s] { run_site(s); });
   }
   // All application work happens on the pool; this thread only waits for
   // the last site to finish — or for an abort() to pull the plug.
@@ -55,22 +48,6 @@ void PooledExecutor::play(ScheduleDriver& driver,
     return live_sites_.load(std::memory_order_acquire) == 0 ||
            stop_.load(std::memory_order_acquire);
   });
-}
-
-void PooledExecutor::worker_loop() {
-  for (;;) {
-    SiteId s;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) || !ready_.empty();
-      });
-      if (stop_.load(std::memory_order_acquire)) return;
-      s = ready_.front();
-      ready_.pop_front();
-    }
-    run_site(s);
-  }
 }
 
 void PooledExecutor::run_site(SiteId s) {
@@ -86,14 +63,15 @@ void PooledExecutor::run_site(SiteId s) {
     st.gate.store(0, std::memory_order_release);
     driver_->dispatch(s, op, [this, s] { complete(s); });
     if (st.gate.fetch_add(1, std::memory_order_acq_rel) == 1) {
-      // `done` already fired (inline write/local read, or a remote read
-      // whose RM beat us here): this worker owns the continuation and
-      // keeps the site hot instead of a queue round trip.
+      // `done` already fired (inline write/local read, or a hook that
+      // finished the op on another thread first): this worker owns the
+      // continuation and keeps the site hot.
       ++st.cursor;
       continue;
     }
     // Completion pending (RemoteFetch in flight): the callback owns the
-    // continuation and will re-enqueue the site. This worker is free.
+    // continuation. The worker is free, and the site's lane keeps
+    // delivering.
     return;
   }
 }
@@ -105,19 +83,15 @@ void PooledExecutor::complete(SiteId s) {
     // second and continues the site inline.
     return;
   }
-  // dispatch() already returned on the worker side: this callback (a
-  // receipt thread, typically) owns the continuation. The cursor touch is
-  // safe — the gate handoff is the site's serialization point.
+  // dispatch() already returned on the worker side: this callback owns the
+  // continuation. The cursor touch is safe — the gate handoff is the site's
+  // serialization point.
   ++st.cursor;
-  enqueue(s);
-}
-
-void PooledExecutor::enqueue(SiteId s) {
-  {
-    std::lock_guard lock(mutex_);
-    ready_.push_back(s);
+  if (transport_.on_lane(s)) {
+    run_site(s);  // the RM's delivery: continue on this worker
+  } else {
+    transport_.post(s, [this, s] { run_site(s); });
   }
-  cv_.notify_one();
 }
 
 void PooledExecutor::site_finished() {
@@ -129,13 +103,36 @@ void PooledExecutor::site_finished() {
   }
 }
 
-void PooledExecutor::drain() { drain_thread_stack(stack_, transport_); }
+void PooledExecutor::drain() {
+  // Shutdown order with the fault stack up: (0) the coalescing layers
+  // flush every pending frame — the sites stopped sending, so after this
+  // the layers below hold every message, (1) the reliability layer reaches
+  // app-level quiescence (every packet delivered exactly once and acked —
+  // retransmission timers still live to get it there), (2) the timer
+  // stops, discarding pending callbacks (all droppable now: stale
+  // retransmits, delayed duplicates, empty flushes) so nothing races the
+  // transport teardown, (3) the wire drains.
+  //
+  // With the cross-DC gateway up, steps 0–1 loop: a mailbox can be
+  // *refilled* mid-drain — an enroute frame still in flight lands at its
+  // gateway after the flush, and an FM fanned out of a mailbox triggers an
+  // RM reply that enters a fresh one. Each pass strictly moves messages
+  // down the stack and the senders have stopped, so the loop terminates
+  // once the last reply made it through.
+  do {
+    if (stack_.gateway() != nullptr) stack_.gateway()->flush_all();
+    if (stack_.batching() != nullptr) stack_.batching()->flush_all();
+    if (stack_.reliable() != nullptr) stack_.reliable()->wait_quiescent();
+    if (stack_.gateway() != nullptr) transport_.quiesce();
+  } while (stack_.gateway() != nullptr && !stack_.gateway()->quiescent());
+  if (stack_.timer() != nullptr) stack_.timer()->stop();
+  transport_.quiesce();
+}
 
 void PooledExecutor::finish() {
   std::lock_guard life(life_mutex_);
   if (!started_) return;
-  stop_workers();
-  sampler_.stop();
+  stop_sampler();
   transport_.stop();
   started_ = false;
 }
@@ -143,27 +140,47 @@ void PooledExecutor::finish() {
 void PooledExecutor::abort() {
   std::lock_guard life(life_mutex_);
   if (!started_) return;
-  // Workers first: once they are joined no application thread can send,
-  // so the layers below can be torn down in the usual order (timer before
-  // transport — a retransmission firing into a stopped wire would panic).
-  stop_workers();
-  sampler_.stop();
+  {
+    std::lock_guard lock(mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
+  done_cv_.notify_all();
+  stop_sampler();
+  // Timer before transport: a retransmission firing into a stopped wire
+  // would panic. The transport's stop() then lets the pool deliver what is
+  // queued — every site run now returns at once, so no new op is issued —
+  // and joins the workers.
   if (stack_.timer() != nullptr) stack_.timer()->stop();
   transport_.stop();
   started_ = false;
 }
 
-void PooledExecutor::stop_workers() {
+void PooledExecutor::start_sampler() {
+  obs::live::LiveTelemetry* live = stack_.config().live;
+  if (live == nullptr || live->sample_interval() <= 0) return;
+  sampling_ = true;
+  sampler_ = std::thread([this, live] {
+    const auto period = std::chrono::microseconds(live->sample_interval());
+    std::unique_lock lock(mutex_);
+    while (sampling_) {
+      lock.unlock();
+      // The stack snapshots under per-site locks; there is no engine clock
+      // under threads, so the telemetry's steady clock stamps the tick.
+      stack_.live_sample(live->wall_now());
+      lock.lock();
+      sampler_cv_.wait_for(lock, period, [this] { return !sampling_; });
+    }
+  });
+}
+
+void PooledExecutor::stop_sampler() {
+  if (!sampler_.joinable()) return;
   {
     std::lock_guard lock(mutex_);
-    stop_.store(true, std::memory_order_release);
+    sampling_ = false;
   }
-  cv_.notify_all();
-  done_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
+  sampler_cv_.notify_all();
+  sampler_.join();
 }
 
 }  // namespace causim::engine

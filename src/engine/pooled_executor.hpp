@@ -1,47 +1,43 @@
-// PooledExecutor — N sites multiplexed over a fixed pool of W workers.
+// PooledExecutor — the real-thread executor: N sites multiplexed over the
+// W workers of the ThreadTransport's pool.
 //
-// ThreadExecutor's one-thread-per-site design faithfully models the
-// paper's testbed but caps how many sites a thread run can sweep: at
-// n = 128 the OS is scheduling 128 application threads plus the receipt
-// threads. PaRiS/Okapi-style deployments instead multiplex many
-// partitions over fixed server resources; this executor reproduces that
-// regime with an action-queue/invoker architecture:
+// The transport is the only scheduler on the thread substrate: each site
+// has one lane of tasks (packet deliveries and op runs) that the pool runs
+// one at a time, in FIFO order. This executor adds what schedule execution
+// needs on top, in the PaRiS/Okapi "many partitions per server" shape:
 //
-//   * a shared ready queue holds sites with runnable work,
-//   * W pool workers pop a site and run its schedule ops until one blocks
-//     (a RemoteFetch in flight) or the site finishes,
-//   * per-site invokers are serialized by an atomic completion gate, so a
-//     SiteRuntime never runs concurrently with itself — the same
-//     exclusion the per-site design gets from having only one thread —
-//     while different sites run genuinely in parallel,
-//   * a blocked site consumes no worker: the RM completion callback
-//     (receipt-thread context) re-enqueues it, and the worker has long
-//     moved on to another site.
+//   * play() posts one op run per site; a run issues the site's schedule
+//     ops until one blocks (a RemoteFetch in flight) or the site finishes,
+//   * a blocked site consumes no worker, and it keeps receiving: parking
+//     stops op issue, not deliveries,
+//   * the RM that completes the read continues the site on the worker that
+//     delivered it (or posts a run when `done` fires off the pool).
 //
 // The completion gate is the whole trick. dispatch()'s `done` may fire
-// inline (writes, local reads) or later from a receipt thread (remote
-// reads), and the two sides race. Both the dispatching worker and the
-// callback fetch_add the gate; whoever arrives *second* (reads 1) owns
-// the site's continuation — advance the cursor and either keep running
-// inline or push the site back on the ready queue. Exactly one side
-// continues, the blocking-fetch rule holds, and no latch or per-op
-// condvar is needed.
+// inline (writes, local reads) or later (remote reads, or a dispatch hook
+// that finishes the op on another thread), and the two sides may race.
+// Both the dispatching worker and the callback fetch_add the gate; whoever
+// arrives *second* (reads 1) owns the site's continuation — advance the
+// cursor and keep running the site. Exactly one side continues, the
+// blocking-fetch rule holds, and no latch or per-op condvar is needed.
 //
-// The pooled substrate runs at full throughput: schedule gaps (op.at) and
-// ThreadExecutor's time_scale are ignored — this is the msgs/sec-ceiling
-// lane, not the latency-modelling one.
+// ExecutorKind::kPerSite is this executor with one worker per site. Runs
+// go at full throughput: schedule gaps (op.at) are ignored — this is the
+// msgs/sec-ceiling lane, not the latency-modelling one.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "engine/schedule_driver.hpp"
+
+namespace causim::net {
+class ThreadTransport;
+}  // namespace causim::net
 
 namespace causim::engine {
 
@@ -60,14 +56,20 @@ class PooledExecutor final : public Executor {
   PooledExecutor& operator=(const PooledExecutor&) = delete;
 
   void play(ScheduleDriver& driver, const workload::Schedule& schedule) override;
+
+  /// The shutdown ladder, once every site finished: flush the gateway
+  /// mailboxes and the batch frames, wait for the reliability layer's
+  /// quiescence (looping while a mailbox refills), stop the timer, drain
+  /// the wire.
   void drain() override;
   void finish() override;
 
-  /// Stops the pool, the timer and the transport so no background thread
+  /// Stops the sites, the timer and the transport so no background thread
   /// outlives the stack (see Executor::abort). Safe to call concurrently
-  /// with a play() in flight — sites abandon their remaining ops and
-  /// play() returns; tests/test_pooled_executor.cpp races this against
-  /// live traffic deliberately.
+  /// with a play() in flight — sites abandon their remaining ops, the pool
+  /// delivers what is already queued, and play() returns;
+  /// tests/test_pooled_executor.cpp races this against live traffic
+  /// deliberately.
   void abort() override;
 
   /// The resolved pool width.
@@ -82,14 +84,19 @@ class PooledExecutor final : public Executor {
     std::atomic<int> gate{0};
   };
 
-  void worker_loop();
-  /// Runs ops of `s` until it blocks or finishes (worker context).
+  /// Runs ops of `s` until it blocks or finishes (on `s`'s lane).
   void run_site(SiteId s);
   /// dispatch() completion for site `s` (any context).
   void complete(SiteId s);
-  void enqueue(SiteId s);
   void site_finished();
-  void stop_workers();
+
+  /// The live time-series sampler: real time stands in for the DES clock,
+  /// so a thread ticks NodeStack::live_sample every
+  /// LiveTelemetry::sample_interval µs of wall time, stamping each tick
+  /// with LiveTelemetry::wall_now(). Both are no-ops without a live
+  /// tracker or with a zero interval; stop_sampler() is idempotent.
+  void start_sampler();
+  void stop_sampler();
 
   NodeStack& stack_;
   net::ThreadTransport& transport_;
@@ -100,21 +107,19 @@ class PooledExecutor final : public Executor {
   std::unique_ptr<SiteState[]> sites_;
   std::atomic<std::size_t> live_sites_{0};
 
-  /// Guards ready_/stop_ and orders the condvar handshakes.
+  /// Orders the done_cv_ and sampler_cv_ handshakes.
   std::mutex mutex_;
-  std::condition_variable cv_;       // workers: ready work or stop
   std::condition_variable done_cv_;  // play(): all sites done or stop
-  std::deque<SiteId> ready_;
   std::atomic<bool> stop_{false};
-  std::vector<std::thread> workers_;
+  std::condition_variable sampler_cv_;
+  bool sampling_ = false;
+  std::thread sampler_;
 
   /// Serializes play() startup against abort()/finish() teardown, so an
   /// abort racing a starting run sees either "not started" or the fully
-  /// assembled pool — never a half-spawned worker vector.
+  /// started pool.
   std::mutex life_mutex_;
   bool started_ = false;
-
-  LiveSamplerThread sampler_;
 };
 
 }  // namespace causim::engine

@@ -7,23 +7,16 @@
 // driver owns that contract in dispatch(); an Executor supplies only the
 // substrate mechanics — how ops are scheduled in time, how the network is
 // drained, how the substrate shuts down. SimExecutor replays the schedule
-// as simulator events (deterministic, continuation-driven); ThreadExecutor
-// runs one application thread per site that blocks on each op's
-// completion, standing in for the paper's one-process-per-site testbed.
+// as simulator events (deterministic, continuation-driven); PooledExecutor
+// (pooled_executor.hpp) runs each site's ops as tasks on the thread
+// substrate's worker pool.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "engine/node_stack.hpp"
 #include "workload/schedule.hpp"
-
-namespace causim::net {
-class ThreadTransport;
-}  // namespace causim::net
 
 namespace causim::sim {
 class Simulator;
@@ -113,71 +106,6 @@ class SimExecutor final : public Executor {
   sim::Simulator& simulator_;
   const workload::Schedule* schedule_ = nullptr;
   std::vector<std::size_t> cursor_;
-};
-
-/// The shutdown ladder both real-thread executors run from drain(), once
-/// every sender has stopped: flush the gateway mailboxes and the batch
-/// frames, wait for the reliability layer's quiescence (looping while a
-/// mailbox refills), stop the timer, drain the wire.
-void drain_thread_stack(NodeStack& stack, net::ThreadTransport& wire);
-
-/// The live time-series sampler both real-thread executors own. Real time
-/// stands in for the DES clock: a thread ticks NodeStack::live_sample every
-/// LiveTelemetry::sample_interval µs of wall time, stamping each tick with
-/// LiveTelemetry::wall_now(), from start() until stop(). Both are no-ops
-/// without a live tracker or with a zero interval; stop() is idempotent and
-/// the destructor calls it.
-class LiveSamplerThread {
- public:
-  explicit LiveSamplerThread(NodeStack& stack) : stack_(stack) {}
-  ~LiveSamplerThread() { stop(); }
-
-  LiveSamplerThread(const LiveSamplerThread&) = delete;
-  LiveSamplerThread& operator=(const LiveSamplerThread&) = delete;
-
-  void start();
-  void stop();
-
- private:
-  NodeStack& stack_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-/// Real-thread substrate: one application thread per site issues ops in
-/// order, sleeping out schedule gaps when time_scale > 0 and blocking on a
-/// latch until each op's completion fires. drain() runs the shared
-/// shutdown sequence: reliability-layer quiescence first (retransmission
-/// timers still live to get it there), then the timer stops (pending
-/// callbacks are all droppable by then), then the wire drains.
-class ThreadExecutor final : public Executor {
- public:
-  struct Options {
-    /// Sleep schedule gaps scaled by this factor (0 = run at full speed;
-    /// 1e-6 turns a millisecond of schedule time into a microsecond).
-    double time_scale = 0.0;
-  };
-
-  ThreadExecutor(NodeStack& stack, net::ThreadTransport& transport,
-                 Options options)
-      : stack_(stack), transport_(transport), options_(options), sampler_(stack) {}
-
-  void play(ScheduleDriver& driver, const workload::Schedule& schedule) override;
-  void drain() override;
-  void finish() override;
-
-  /// Stops the timer and the transport so no background thread outlives
-  /// the stack (see Executor::abort).
-  void abort() override;
-
- private:
-  NodeStack& stack_;
-  net::ThreadTransport& transport_;
-  Options options_;
-  bool started_ = false;
-  LiveSamplerThread sampler_;
 };
 
 }  // namespace causim::engine

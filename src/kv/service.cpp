@@ -32,8 +32,8 @@ std::string num(double v) {
 }
 
 /// Per-site measurement state. Sites are serialized on every substrate
-/// (the blocking-op contract), but completions fire on whichever receipt
-/// thread delivered the RM, so the histogram updates take a mutex.
+/// (the blocking-op contract), but completions fire on whichever pool
+/// worker delivered the RM, so the histogram updates take a mutex.
 struct SiteLane {
   std::mutex mutex;
   std::size_t cursor = 0;
@@ -205,7 +205,6 @@ ServiceResult run_service(const ServiceParams& params) {
     // executor and the wire path, not injected sleeps (the pooled
     // run_experiment lane's convention).
     dsm::ThreadCluster::Options topt;
-    topt.time_scale = 0.0;
     topt.max_wire_delay_us = 0;
     dsm::ThreadCluster cluster(config, topt);
     const auto t0 = std::chrono::steady_clock::now();

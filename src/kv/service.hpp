@@ -15,8 +15,8 @@
 // (completion sim-time − scheduled arrival): true open-loop latency,
 // including the queueing delay a backed-up site accumulates, and
 // byte-deterministic for a fixed seed. On the thread substrates it is the
-// wall-clock dispatch-to-completion time (arrivals are not paced at
-// time_scale 0, so those lanes measure saturation service time).
+// wall-clock dispatch-to-completion time (the pool does not pace arrivals,
+// so those lanes measure saturation service time).
 #pragma once
 
 #include <cstdint>
@@ -36,9 +36,9 @@ class MetricsRegistry;
 namespace causim::kv {
 
 /// Which execution substrate serves the traffic. kSim is the
-/// deterministic DES lane; kThread is one application thread per site;
-/// kPooled multiplexes the sites over a worker pool (the throughput
-/// lane).
+/// deterministic DES lane; kThread is the worker pool with one worker per
+/// site; kPooled multiplexes the sites over `workers` pool workers (the
+/// throughput lane).
 enum class Substrate : std::uint8_t { kSim = 0, kThread, kPooled };
 
 const char* to_string(Substrate substrate);

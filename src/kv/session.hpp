@@ -95,8 +95,8 @@ class Session {
   SessionId id_;
   SiteId home_;
   /// Serializes cut updates against admissibility checks: a session's ops
-  /// run one at a time (the blocking-op contract), but completions fire on
-  /// whichever receipt thread delivered the RM.
+  /// run one at a time (the blocking-op contract), but an op may be issued
+  /// on one thread and completed on whichever pool worker delivered the RM.
   mutable std::mutex mutex_;
   std::unordered_map<VarId, Frontier> required_;
   SessionStats stats_;

@@ -100,7 +100,7 @@ class GatewayMailbox final : public Transport, public PacketHandler {
   /// Ships every non-empty mailbox. Executors call this at the start of
   /// drain — note a flush can strand *new* enroute arrivals in a mailbox,
   /// so thread-path drains loop flush_all + inner quiescence until
-  /// quiescent() (see engine::drain_thread_stack).
+  /// quiescent() (see engine::PooledExecutor::drain).
   void flush_all() { mailboxes_.flush_all(); }
 
   /// Nothing buffered in any mailbox and every accepted message delivered.

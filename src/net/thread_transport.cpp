@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/panic.hpp"
 #include "obs/trace_event.hpp"
@@ -18,6 +19,14 @@ std::uint64_t next_rand(std::uint64_t& state) {
   state ^= state << 17;
   return state;
 }
+
+// The lane this thread is running a task of (null off the pool).
+thread_local const void* tl_lane = nullptr;
+// The transport this thread is a worker of, and that worker's next lane.
+thread_local const void* tl_pool = nullptr;
+thread_local SiteId tl_next = kInvalidSite;
+// Next-lane runs in a row before a worker turns to the shared queue.
+constexpr unsigned kNextRuns = 3;
 }  // namespace
 
 ThreadTransport::ThreadTransport(SiteId n) : ThreadTransport(n, Options()) {}
@@ -27,11 +36,12 @@ ThreadTransport::ThreadTransport(SiteId n, Options options)
       rng_state_(options.seed == 0 ? 0x9e3779b97f4a7c15ULL : options.seed),
       channel_seq_(static_cast<std::size_t>(n) * n, 0),
       epoch_(std::chrono::steady_clock::now()) {
-  inboxes_.reserve(n);
-  for (SiteId i = 0; i < n; ++i) inboxes_.push_back(std::make_unique<Inbox>());
+  lanes_.reserve(n);
+  for (SiteId i = 0; i < n; ++i) lanes_.push_back(std::make_unique<Lane>());
 }
 
 void ThreadTransport::set_trace_sink(obs::TraceSink* sink) {
+  std::lock_guard lock(pool_mutex_);
   CAUSIM_CHECK(!running_, "set_trace_sink after start()");
   trace_ = sink;
 }
@@ -45,38 +55,81 @@ SimTime ThreadTransport::trace_now() const {
 ThreadTransport::~ThreadTransport() { stop(); }
 
 void ThreadTransport::attach(SiteId site, PacketHandler* handler) {
-  CAUSIM_CHECK(site < inboxes_.size(), "attach: site " << site << " out of range");
+  CAUSIM_CHECK(site < lanes_.size(), "attach: site " << site << " out of range");
+  std::lock_guard lock(pool_mutex_);
   CAUSIM_CHECK(!running_, "attach after start()");
-  inboxes_[site]->handler = handler;
+  lanes_[site]->handler = handler;
 }
 
-void ThreadTransport::start() {
-  std::lock_guard lock(state_mutex_);
-  CAUSIM_CHECK(!running_, "transport already started");
-  running_ = true;
-  stopping_ = false;
-  receivers_.reserve(inboxes_.size());
-  for (SiteId i = 0; i < inboxes_.size(); ++i) {
-    receivers_.emplace_back([this, i] { receipt_loop(i); });
+void ThreadTransport::start(unsigned workers) {
+  {
+    std::lock_guard lock(pool_mutex_);
+    CAUSIM_CHECK(!running_, "transport already started");
+    running_ = true;
+  }
+  const std::size_t width = workers == 0 ? lanes_.size() : workers;
+  workers_.reserve(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
   if (max_delay_us_ > 0) {
     wire_thread_ = std::thread([this] { wire_loop(); });
   }
 }
 
+bool ThreadTransport::push_locked(Lane& lane, Task task) {
+  lane.queue.push_back(std::move(task));
+  return !std::exchange(lane.scheduled, true);
+}
+
+void ThreadTransport::make_ready(SiteId site) {
+  if (tl_pool == this) {
+    // A worker's own task made the lane ready (a request's target, a
+    // reply's origin): it runs next on this worker, with no wake-up. The
+    // lane it displaces goes to the shared queue.
+    site = std::exchange(tl_next, site);
+    if (site == kInvalidSite) return;
+  }
+  {
+    std::lock_guard lock(pool_mutex_);
+    ready_.push_back(site);
+  }
+  pool_cv_.notify_one();
+}
+
+void ThreadTransport::enqueue(SiteId site, Task task) {
+  Lane& lane = *lanes_[site];
+  bool wake;
+  {
+    std::lock_guard lock(lane.mutex);
+    wake = push_locked(lane, std::move(task));
+  }
+  if (wake) make_ready(site);
+}
+
+void ThreadTransport::post(SiteId site, std::function<void()> task) {
+  {
+    std::lock_guard lock(pool_mutex_);
+    CAUSIM_CHECK(running_ && !stopping_, "post on a stopped transport");
+    ++pending_;
+  }
+  enqueue(site, Task{Packet{}, std::move(task)});
+}
+
+bool ThreadTransport::on_lane(SiteId site) const {
+  return tl_lane == lanes_[site].get();
+}
+
 void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
-  CAUSIM_CHECK(to < inboxes_.size() && inboxes_[to]->handler != nullptr,
+  CAUSIM_CHECK(to < lanes_.size() && lanes_[to]->handler != nullptr,
                "send to unattached site " << to);
   {
-    std::lock_guard lock(state_mutex_);
+    std::lock_guard lock(pool_mutex_);
     CAUSIM_CHECK(running_ && !stopping_, "send on a stopped transport");
-    ++in_flight_;
-  }
-  {
-    std::lock_guard lock(stats_mutex_);
+    ++pending_;
     ++sent_;
   }
-  const std::size_t channel = static_cast<std::size_t>(from) * inboxes_.size() + to;
+  const std::size_t channel = static_cast<std::size_t>(from) * lanes_.size() + to;
   Packet p{from, to, 0, std::move(bytes)};
   const std::uint64_t packet_bytes = p.bytes.size();
   if (max_delay_us_ > 0) {
@@ -120,9 +173,10 @@ void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
     wire_cv_.notify_one();
     return;
   }
-  Inbox& inbox = *inboxes_[p.to];
+  Lane& lane = *lanes_[to];
+  bool wake;
   {
-    std::lock_guard lock(inbox.mutex);
+    std::lock_guard lock(lane.mutex);
     p.seq = channel_seq_[channel]++;
     if (trace_ != nullptr) {
       obs::TraceEvent e;
@@ -134,124 +188,127 @@ void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
       e.b = packet_bytes;
       trace_->emit(e);
     }
-    inbox.queue.push_back(std::move(p));
+    wake = push_locked(lane, Task{std::move(p), {}});
   }
-  inbox.cv.notify_one();
+  if (wake) make_ready(to);
 }
 
 void ThreadTransport::wire_loop() {
   std::unique_lock lock(wire_mutex_);
   for (;;) {
-    if (wire_queue_.empty()) {
-      bool should_stop;
-      {
-        std::lock_guard state(state_mutex_);
-        should_stop = stopping_;
-      }
-      if (should_stop) return;
-      wire_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      continue;
-    }
+    wire_cv_.wait(lock, [this] { return stopping_ || !wire_queue_.empty(); });
+    if (wire_queue_.empty()) return;  // stopping and drained
     const auto due = wire_queue_.front().due;
-    const auto now = std::chrono::steady_clock::now();
-    if (due > now) {
+    if (due > std::chrono::steady_clock::now()) {
       wire_cv_.wait_until(lock, due);
       continue;
     }
     Packet p = std::move(wire_queue_.front().packet);
     wire_queue_.pop_front();
     lock.unlock();
-    Inbox& inbox = *inboxes_[p.to];
-    {
-      std::lock_guard ilock(inbox.mutex);
-      inbox.queue.push_back(std::move(p));
-    }
-    inbox.cv.notify_one();
+    const SiteId to = p.to;
+    enqueue(to, Task{std::move(p), {}});
     lock.lock();
   }
 }
 
-void ThreadTransport::receipt_loop(SiteId site) {
-  Inbox& inbox = *inboxes_[site];
+void ThreadTransport::worker_loop() {
+  tl_pool = this;
+  unsigned next_runs = 0;
+  std::unique_lock lock(pool_mutex_);
   for (;;) {
-    Packet p;
-    {
-      std::unique_lock lock(inbox.mutex);
-      inbox.cv.wait(lock, [&] {
-        if (!inbox.queue.empty()) return true;
-        std::lock_guard state(state_mutex_);
-        return stopping_;
-      });
-      if (inbox.queue.empty()) return;  // stopping and drained
-      p = std::move(inbox.queue.front());
-      inbox.queue.pop_front();
-      inbox.handling = true;
+    SiteId site = std::exchange(tl_next, kInvalidSite);
+    if (site != kInvalidSite && next_runs < kNextRuns) {
+      ++next_runs;
+    } else {
+      // To the shared queue, so two sites passing requests back and forth
+      // cannot keep one worker from the lanes that wait there.
+      if (site != kInvalidSite) {
+        ready_.push_back(site);
+        pool_cv_.notify_one();
+      }
+      pool_cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
+      if (ready_.empty()) break;  // stopping and drained
+      site = ready_.front();
+      ready_.pop_front();
+      next_runs = 0;
     }
-    if (trace_ != nullptr) {
-      obs::TraceEvent e;
-      e.type = obs::TraceEventType::kDeliver;
-      e.site = p.to;
-      e.peer = p.from;
-      e.ts = trace_now();
-      e.a = p.seq;
-      e.b = p.bytes.size();
-      trace_->emit(e);
-    }
-    inbox.handler->on_packet(std::move(p));
-    {
-      std::lock_guard lock(inbox.mutex);
-      inbox.handling = false;
-    }
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++delivered_;
-    }
-    {
-      std::lock_guard lock(state_mutex_);
-      CAUSIM_CHECK(in_flight_ > 0, "delivered more packets than were sent");
-      --in_flight_;
-      if (in_flight_ == 0) quiesce_cv_.notify_all();
-    }
+    lock.unlock();
+    run_lane(site);
+    lock.lock();
   }
+  tl_pool = nullptr;
+}
+
+void ThreadTransport::run_lane(SiteId site) {
+  Lane& lane = *lanes_[site];
+  tl_lane = &lane;
+  for (;;) {
+    Task task;
+    {
+      std::lock_guard lock(lane.mutex);
+      if (lane.queue.empty()) {
+        lane.scheduled = false;
+        break;
+      }
+      task = std::move(lane.queue.front());
+      lane.queue.pop_front();
+    }
+    if (task.posted) {
+      task.posted();
+    } else {
+      if (trace_ != nullptr) {
+        obs::TraceEvent e;
+        e.type = obs::TraceEventType::kDeliver;
+        e.site = site;
+        e.peer = task.packet.from;
+        e.ts = trace_now();
+        e.a = task.packet.seq;
+        e.b = task.packet.bytes.size();
+        trace_->emit(e);
+      }
+      lane.handler->on_packet(std::move(task.packet));
+    }
+    std::lock_guard lock(pool_mutex_);
+    CAUSIM_CHECK(pending_ > 0, "ran more site tasks than were queued");
+    if (!task.posted) ++delivered_;
+    if (--pending_ == 0) idle_cv_.notify_all();
+  }
+  tl_lane = nullptr;
 }
 
 void ThreadTransport::quiesce() {
-  std::unique_lock lock(state_mutex_);
-  quiesce_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  std::unique_lock lock(pool_mutex_);
+  idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
 void ThreadTransport::stop() {
   {
-    std::lock_guard lock(state_mutex_);
+    std::lock_guard lock(pool_mutex_);
     if (!running_) return;
   }
   quiesce();
   {
-    std::lock_guard lock(state_mutex_);
+    std::scoped_lock lock(pool_mutex_, wire_mutex_);
     stopping_ = true;
   }
-  for (auto& inbox : inboxes_) {
-    // stopping_ is not guarded by the inbox mutex, so a receipt thread may
-    // have read it as false without being asleep yet. Taking the mutex waits
-    // that window out; otherwise the notify is lost and the join never ends.
-    { std::lock_guard lock(inbox->mutex); }
-    inbox->cv.notify_all();
-  }
+  pool_cv_.notify_all();
   wire_cv_.notify_all();
-  for (auto& t : receivers_) t.join();
-  receivers_.clear();
+  for (auto& t : workers_) t.join();
+  workers_.clear();
   if (wire_thread_.joinable()) wire_thread_.join();
-  std::lock_guard lock(state_mutex_);
+  std::scoped_lock lock(pool_mutex_, wire_mutex_);
+  stopping_ = false;
   running_ = false;
 }
 
 std::uint64_t ThreadTransport::packets_sent() const {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(pool_mutex_);
   return sent_;
 }
 
 std::uint64_t ThreadTransport::packets_delivered() const {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(pool_mutex_);
   return delivered_;
 }
 

@@ -1,11 +1,20 @@
 // ThreadTransport — real-concurrency implementation of the Transport
-// interface, standing in for the paper's per-process TCP sockets.
+// interface, standing in for the paper's per-process TCP sockets, and the
+// one scheduler of the thread substrate.
 //
-// Every site gets one receipt thread draining a mutex/condvar-guarded FIFO
-// inbox, mirroring the paper's "message receipt subsystem" (§IV-A). FIFO
-// per channel holds because a sender enqueues into an inbox in program
-// order and the inbox is drained in order; cross-channel interleaving is
-// whatever the OS scheduler produces, exactly as with TCP.
+// Every site has a lane: a FIFO of site tasks, which are packet deliveries
+// and tasks queued with post() (the pooled executor's op runs). start()
+// spawns W workers sharing a ready queue of lanes. A lane is queued or held
+// by one worker at a time, so a site's tasks run one after another in FIFO
+// order while different sites run in parallel. A lane that a worker's own
+// task makes ready (the target of a fetch, the origin of its reply) runs
+// next on that worker instead, up to a few times in a row, so a remote
+// read's round trip needs no wake-up. FIFO per channel holds
+// because a sender enqueues into a lane in program order and the lane runs
+// in order; cross-channel interleaving is whatever the OS scheduler
+// produces, exactly as with TCP. send() and post() only queue: SiteRuntime
+// sends while holding its site mutex, so a handler run on the caller's
+// stack could deadlock.
 //
 // An optional artificial delay stage (the "wire") re-injects latency:
 // packets are held by a dedicated timer thread until their due time, with
@@ -16,6 +25,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -29,7 +39,7 @@ class ThreadTransport final : public Transport {
  public:
   struct Options {
     /// Maximum artificial one-way delay in real microseconds (0 = direct
-    /// hand-off to the receiver inbox).
+    /// hand-off to the receiver's lane).
     std::int64_t max_delay_us = 0;
     std::uint64_t seed = 1;
   };
@@ -43,18 +53,28 @@ class ThreadTransport final : public Transport {
 
   void attach(SiteId site, PacketHandler* handler) override;
 
-  /// Starts the receipt threads. All attach() calls must precede start().
-  void start();
+  /// Starts `workers` pool workers (0 = one per site) and the delay stage.
+  /// All attach() calls must precede start().
+  void start(unsigned workers = 0);
 
-  /// Waits until every queued packet has been delivered *and* handled, i.e.
-  /// the network is quiescent. Only meaningful once senders have stopped.
+  /// Queues `task` on `site`'s lane, behind every delivery already queued
+  /// there. Callable from any thread while the transport runs.
+  void post(SiteId site, std::function<void()> task);
+
+  /// True on the worker currently running one of `site`'s tasks: there the
+  /// site may be continued inline instead of through post().
+  bool on_lane(SiteId site) const;
+
+  /// Waits until every queued packet has been delivered *and* handled and
+  /// every posted task has run, i.e. the substrate is quiescent. Only
+  /// meaningful once senders have stopped.
   void quiesce();
 
-  /// Stops all threads. Implies quiesce().
+  /// Stops all threads. Implies quiesce(). Idempotent.
   void stop();
 
   void send(SiteId from, SiteId to, serial::Bytes bytes) override;
-  SiteId size() const override { return static_cast<SiteId>(inboxes_.size()); }
+  SiteId size() const override { return static_cast<SiteId>(lanes_.size()); }
   std::uint64_t packets_sent() const override;
   std::uint64_t packets_delivered() const override;
 
@@ -63,12 +83,17 @@ class ThreadTransport final : public Transport {
   void set_trace_sink(obs::TraceSink* sink) override;
 
  private:
-  struct Inbox {
+  /// A delivery, or a posted task when `posted` is set.
+  struct Task {
+    Packet packet;
+    std::function<void()> posted;
+  };
+
+  struct Lane {
     std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Packet> queue;
+    std::deque<Task> queue;
     PacketHandler* handler = nullptr;
-    bool handling = false;  // receipt thread is inside a handler call
+    bool scheduled = false;  // on the ready queue or held by a worker
   };
 
   struct TimedPacket {
@@ -76,11 +101,33 @@ class ThreadTransport final : public Transport {
     Packet packet;
   };
 
-  void receipt_loop(SiteId site);
+  /// Appends to the lane (lane mutex held); true when the lane was idle and
+  /// the caller must hand it to make_ready() once the mutex is released.
+  static bool push_locked(Lane& lane, Task task);
+  void make_ready(SiteId site);
+  /// Appends `task` to `site`'s lane, scheduling the lane if it was idle.
+  void enqueue(SiteId site, Task task);
+  void worker_loop();
+  /// Runs `site`'s tasks until its lane is empty (worker context).
+  void run_lane(SiteId site);
   void wire_loop();
 
-  std::vector<std::unique_ptr<Inbox>> inboxes_;
-  std::vector<std::thread> receivers_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<std::thread> workers_;
+
+  // Ready lanes, task accounting and pool lifecycle.
+  mutable std::mutex pool_mutex_;
+  std::condition_variable pool_cv_;  // workers: a ready lane or stopping_
+  std::condition_variable idle_cv_;  // quiesce(): pending_ reached 0
+  std::deque<SiteId> ready_;
+  /// Tasks queued or running (packets count from send() until handled).
+  std::uint64_t pending_ = 0;
+  std::uint64_t sent_ = 0;
+  std::uint64_t delivered_ = 0;
+  bool running_ = false;
+  /// Written holding both pool_mutex_ and wire_mutex_, so the delay stage
+  /// may read it under wire_mutex_ alone.
+  bool stopping_ = false;
 
   // Artificial-delay stage.
   std::int64_t max_delay_us_;
@@ -90,12 +137,9 @@ class ThreadTransport final : public Transport {
   std::deque<TimedPacket> wire_queue_;  // kept sorted by due time
   std::thread wire_thread_;
 
-  mutable std::mutex stats_mutex_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   // channel_seq_[from * n + to]: next FIFO sequence number on the channel.
   // Assigned inside the critical section that orders the enqueue (the wire
-  // mutex with a delay stage, the target inbox mutex without), so sequence
+  // mutex with a delay stage, the target lane mutex without), so sequence
   // numbers always match actual per-channel delivery order.
   std::vector<std::uint64_t> channel_seq_;
 
@@ -103,12 +147,6 @@ class ThreadTransport final : public Transport {
   obs::TraceSink* trace_ = nullptr;
   std::chrono::steady_clock::time_point epoch_;
   SimTime trace_now() const;
-
-  std::mutex state_mutex_;
-  std::condition_variable quiesce_cv_;
-  std::uint64_t in_flight_ = 0;  // sent but not yet fully handled
-  bool running_ = false;
-  bool stopping_ = false;
 };
 
 }  // namespace causim::net

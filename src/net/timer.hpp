@@ -40,8 +40,8 @@ class TimerDriver {
 
   /// Stops the driver, discarding callbacks that have not fired. A no-op
   /// for drivers with nothing to tear down (the simulator owns its queue);
-  /// engine::ThreadExecutor calls this through the base interface during
-  /// the shared shutdown sequence.
+  /// engine::PooledExecutor calls this through the base interface during
+  /// its shutdown sequence.
   virtual void stop() {}
 };
 

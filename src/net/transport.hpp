@@ -4,7 +4,7 @@
 // message passing … connected by FIFO channels" (realized there as TCP).
 // causim provides two interchangeable implementations:
 //   * SimTransport    — deterministic discrete-event delivery (default),
-//   * ThreadTransport — real threads and mutex/condvar FIFO queues.
+//   * ThreadTransport — real threads: per-site FIFO lanes on a worker pool.
 // Protocol and runtime code is written only against this interface, so the
 // test suite can assert both substrates produce equivalent executions.
 #pragma once
@@ -32,8 +32,10 @@ struct Packet {
 };
 
 /// Receiver callback, one per site. Implementations must tolerate being
-/// called from the transport's delivery context (the simulator loop or a
-/// per-site receipt thread).
+/// called from the transport's delivery context: the simulator loop, or a
+/// ThreadTransport pool worker. The pool runs one task of a site at a
+/// time, but a decorator may hand a site packets from another site's task
+/// (the gateway's mailbox fan-out does), so handlers stay thread-safe.
 class PacketHandler {
  public:
   virtual ~PacketHandler() = default;

@@ -17,7 +17,7 @@
 //    the k-th activation of (origin, var) at a site is the k-th send.
 //
 //  * Time-series sampler. A periodic driver (SimExecutor under the DES,
-//    engine::LiveSamplerThread under both thread executors) calls
+//    engine::PooledExecutor's sampler thread under threads) calls
 //    record_sample() with the cluster-wide gauges; samples append to a
 //    pre-reserved buffer and serialize as a deterministic
 //    `causim.timeseries.v1` JSON stream. The same tick emits one

@@ -9,7 +9,7 @@
 // target keys drawn from a Zipfian popularity ranking over a keyspace far
 // larger than the variable count, and which optionally shifts the hot set
 // mid-run (a flash crowd). Because the output is an ordinary Schedule,
-// every execution substrate (DES, per-site threads, pooled workers,
+// every execution substrate (DES, the thread pool at any width,
 // topology/gateway stacks) runs it unchanged; the parallel per-op key and
 // session assignments let the KV layer route each slot through a client
 // session. The closed schedule path is untouched.

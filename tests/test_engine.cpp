@@ -506,10 +506,10 @@ workload::Schedule single_writer_schedule(SiteId n, VarId variables,
   return schedule;
 }
 
-/// The pooled executor against the per-site ThreadExecutor, across every
-/// protocol and the worker-count regimes that exercise distinct pool
-/// shapes: W=1 (fully serialized pool), W=0 (hardware concurrency) and
-/// W>n (more workers than sites — some never find work).
+/// The pooled executor against the per-site width (one worker per site),
+/// across every protocol and the worker-count regimes that exercise
+/// distinct pool shapes: W=1 (fully serialized pool), W=0 (hardware
+/// concurrency) and W>n (more workers than sites — some never find work).
 class PooledExecutorEquivalence
     : public ::testing::TestWithParam<
           std::tuple<causal::ProtocolKind, unsigned>> {};

@@ -9,9 +9,12 @@
 //     50; CI's PR lane sets a short value, the TSan lane the full one),
 //   * shutdown races: abort() fired from another thread at arbitrary
 //     points of a live play(), including after natural completion and
-//     repeatedly — the invoker gates, the flush timers and the receipt
-//     threads must all tear down without deadlock or leaks (this is the
+//     repeatedly — the invoker gates, the flush timers and the pool
+//     workers must all tear down without deadlock or leaks (this is the
 //     test TSan chews on),
+//   * parked sites keep receiving: two sites blocked on each other's
+//     remote reads at once still answer each other's FMs, even when one
+//     worker serves both,
 //   * steady-state resource sanity: the coalescing path keeps recycling
 //     frames through the shared serial::BufferPool.
 #include <gtest/gtest.h>
@@ -56,9 +59,11 @@ workload::Schedule schedule_for(SiteId n, std::uint64_t seed,
 }
 
 /// One stress cell: the protocol rotates with the seed, 12 sites share
-/// 2–3 workers, odd seeds coalesce, and two thirds of the seeds run over
-/// a faulty wire with a short real-time RTO so retransmission actually
-/// interleaves with pool scheduling.
+/// 1–3 workers (at 1, a single worker serves every op and every
+/// delivery), odd seeds coalesce, and two thirds of the seeds run over a
+/// faulty wire with a short real-time RTO so retransmission actually
+/// interleaves with pool scheduling. The width cycles with period 5, so it
+/// meets every other axis within a few seeds.
 dsm::ClusterConfig stress_config(std::uint64_t seed) {
   const causal::ProtocolKind kind = kProtocols[seed % kProtocols.size()];
   dsm::ClusterConfig config;
@@ -69,7 +74,7 @@ dsm::ClusterConfig stress_config(std::uint64_t seed) {
   config.seed = seed;
   config.record_history = true;
   config.executor = engine::ExecutorKind::kPooled;
-  config.workers = 2 + static_cast<unsigned>(seed % 2);
+  config.workers = 1 + static_cast<unsigned>(seed % 5 % 3);
   if (seed % 2 == 1) {
     config.batch.enabled = true;
     config.batch.max_messages = 8;
@@ -206,6 +211,50 @@ TEST(PooledExecutorShutdown, QuiesceAfterAbortedRunAllowsFreshRun) {
 TEST(PooledExecutor, ResolvesHardwareWorkerCount) {
   RacingStack rig(race_config(1, false), /*workers=*/0);
   EXPECT_GE(rig.executor->workers(), 1u);
+}
+
+/// Two sites whose every read targets the variable only the other one
+/// replicates: both park on a remote read at once, and each must still
+/// answer the other's FM. At W = 1 the lone worker serves both sites; a
+/// pool that stopped delivering to a parked site would hang here.
+TEST(PooledExecutor, CrossedRemoteReadsBothComplete) {
+  constexpr std::size_t kRounds = 40;
+  for (const unsigned workers : {1u, 2u}) {
+    dsm::ClusterConfig config;
+    config.sites = 2;
+    config.variables = 2;
+    config.replication = 1;
+    config.placement_strategy = dsm::PlacementStrategy::kStrided;
+    config.protocol = causal::ProtocolKind::kOptTrack;
+    config.seed = 3;
+    config.executor = engine::ExecutorKind::kPooled;
+    config.workers = workers;
+    workload::Schedule schedule;
+    schedule.per_site.resize(config.sites);
+    for (SiteId s = 0; s < config.sites; ++s) {
+      for (std::size_t k = 0; k < kRounds; ++k) {
+        workload::Op read;
+        read.kind = workload::Op::Kind::kRead;
+        read.var = 1 - s;
+        workload::Op write;
+        write.kind = workload::Op::Kind::kWrite;
+        write.var = s;
+        schedule.per_site[s].push_back(read);
+        schedule.per_site[s].push_back(write);
+      }
+    }
+    dsm::ThreadCluster cluster(config);
+    for (SiteId s = 0; s < config.sites; ++s) {
+      ASSERT_TRUE(cluster.placement().replicated_at(s, s));
+      ASSERT_FALSE(cluster.placement().replicated_at(1 - s, s));
+    }
+    cluster.execute(schedule);
+
+    const auto stats = cluster.aggregate_message_stats();
+    EXPECT_EQ(stats.of(MessageKind::kFM).count, 2 * kRounds) << "W=" << workers;
+    EXPECT_EQ(stats.of(MessageKind::kRM).count, 2 * kRounds) << "W=" << workers;
+    EXPECT_TRUE(cluster.check().ok()) << "W=" << workers;
+  }
 }
 
 TEST(PooledExecutor, CoalescingPathRecyclesPooledFrames) {
