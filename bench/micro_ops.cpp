@@ -4,8 +4,11 @@
 // how large an n the harness can sweep.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "causal/clocks.hpp"
 #include "causal/ks_log.hpp"
+#include "causal/opt_track.hpp"
 #include "dsm/cluster.hpp"
 #include "dsm/envelope.hpp"
 #include "dsm/thread_cluster.hpp"
@@ -108,6 +111,47 @@ void BM_KsLogSerializeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KsLogSerializeRoundTrip)->Arg(5)->Arg(40);
+
+// One SM receipt on Opt-Track: decode the piggyback, test the activation
+// predicate, apply. The piggyback is a real log: the sender's after a
+// short run at the paper's point (n sites, p = 0.3n, q = 100, w_rate 0.5),
+// ~2.7n entries; the receiver is a replica of the SM's variable that has
+// applied every write the log names, so the predicate holds.
+void BM_OptTrackSmReceive(benchmark::State& state) {
+  dsm::ClusterConfig config;
+  config.sites = static_cast<SiteId>(state.range(0));
+  config.replication = static_cast<SiteId>(std::lround(0.3 * config.sites));
+  config.record_history = false;
+  workload::WorkloadParams wl;
+  wl.variables = config.variables;
+  wl.ops_per_site = 60;
+  dsm::Cluster cluster(config);
+  cluster.execute(workload::generate_schedule(config.sites, wl));
+
+  constexpr SiteId kSender = 0;
+  VarId var = 0;
+  while (cluster.placement().replicas(var).count() < 2) ++var;
+  const DestSet& dests = cluster.placement().replicas(var);
+  SiteId receiver = 0;
+  while (receiver == kSender || !dests.contains(receiver)) ++receiver;
+  const auto& sender = dynamic_cast<const causal::OptTrack&>(cluster.site(kSender).protocol());
+  serial::ByteWriter meta;
+  sender.log().serialize(meta);
+  causal::Protocol& protocol = cluster.site(receiver).protocol();
+
+  WriteClock clock = 1u << 20;  // above every clock the log holds
+  for (auto _ : state) {
+    serial::ByteReader r(meta.bytes());
+    auto update = protocol.decode_sm(
+        causal::SmEnvelope{kSender, var, Value{1, 0}, WriteId{kSender, ++clock}}, dests, r);
+    if (!protocol.ready(*update)) state.SkipWithError("activation predicate false");
+    protocol.apply(*update);
+    benchmark::DoNotOptimize(update);
+  }
+  state.counters["log_entries"] = static_cast<double>(sender.log().size());
+  state.counters["meta_bytes"] = static_cast<double>(meta.size());
+}
+BENCHMARK(BM_OptTrackSmReceive)->Arg(8)->Arg(40);
 
 void BM_EnvelopeRoundTrip(benchmark::State& state) {
   dsm::Envelope env;

@@ -79,7 +79,7 @@ BlockingDep FullTrack::blocking_dep(const PendingUpdate& u) const {
   return {};
 }
 
-void FullTrack::apply(const PendingUpdate& u) {
+void FullTrack::apply(PendingUpdate& u) {
   const auto& p = static_cast<const Pending&>(u);
   CAUSIM_CHECK(ready(u), "apply called with a false activation predicate");
   ++apply_[p.env().sender];

@@ -25,7 +25,7 @@ class FullTrackHb final : public FullTrack {
 
   ProtocolKind kind() const override { return ProtocolKind::kFullTrackHb; }
 
-  void apply(const PendingUpdate& u) override {
+  void apply(PendingUpdate& u) override {
     FullTrack::apply(u);
     // The → edge: receipt alone creates the dependency.
     write_.merge(static_cast<const Pending&>(u).matrix);

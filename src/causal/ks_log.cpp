@@ -19,6 +19,72 @@ It lower_bound_id(It first, It last, const WriteId& id) {
 /// empty dest list (universe u16 + count u16).
 constexpr std::size_t kMinEntryWireBytes = 2 + 4 + 4;
 
+/// Reads a log's entry count. A count the remaining bytes cannot hold is
+/// corrupt; refusing it here also bounds the one allocation a decode makes.
+std::uint16_t read_count(serial::ByteReader& r) {
+  const std::uint16_t count = r.get_u16();
+  if (count > r.remaining() / kMinEntryWireBytes) {
+    r.fail();
+    return 0;
+  }
+  return count;
+}
+
+/// Walks a serialized log's entries through the serial load_* decoders,
+/// checking each against the log's universe and its predecessor's id. It
+/// works on a copy of the reader's cursor, which the compiler can keep in
+/// registers across the stores into the log being built.
+class EntryReader {
+ public:
+  EntryReader(const serial::ByteReader& r, SiteId n)
+      : begin_(r.cursor()), p_(begin_), end_(begin_ + r.remaining()), cw_(r.clock_width()),
+        n_(n) {}
+
+  /// The next entry's id. A writer outside the universe, or an id that
+  /// does not follow the previous one in (writer, clock) order, is
+  /// malformed.
+  bool id(WriteId& id) {
+    p_ = serial::load_write_id(p_, end_, cw_, id);
+    if (p_ == nullptr || id.writer >= n_ || (read_ != 0 && !(prev_ < id))) return false;
+    prev_ = id;
+    ++read_;
+    return true;
+  }
+
+  /// The entry's dest list; one of another universe is malformed.
+  bool dests(DestSet& d) {
+    p_ = serial::load_dest_set(p_, end_, d);
+    return p_ != nullptr && d.universe_size() == n_;
+  }
+
+  /// Moves `r` past the entries read, or latches its error.
+  void finish(serial::ByteReader& r, bool ok) const {
+    if (ok) {
+      r.skip(static_cast<std::size_t>(p_ - begin_));
+    } else {
+      r.fail();
+    }
+  }
+
+ private:
+  const std::uint8_t* begin_;
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  serial::ClockWidth cw_;
+  SiteId n_;
+  WriteId prev_;
+  std::size_t read_ = 0;
+};
+
+/// Implicit condition (1) for one entry: `s` is known to have applied the
+/// entry's write, so it is no longer a destination to wait for.
+template <typename Entry>
+void erase_if_applied(Entry& e, SiteId s, const std::vector<WriteClock>& applied) {
+  if (e.id.writer < applied.size() && e.id.clock <= applied[e.id.writer]) {
+    e.dests.erase(s);
+  }
+}
+
 }  // namespace
 
 const DestSet* KsLog::find(const WriteId& id) const {
@@ -43,27 +109,49 @@ void KsLog::add(const WriteId& id, const DestSet& dests) {
   entries_.insert(it, Entry{id, dests});
 }
 
-void KsLog::merge(const KsLog& other) {
+template <typename Fix>
+std::size_t KsLog::merge_walk(const KsLog& other, Fix fix, const Rules& rules) {
   CAUSIM_CHECK(n_ == other.n_, "log universe mismatch");
-  if (this == &other) return;  // every entry intersects with itself
+  if (this == &other) {
+    const KsLog copy = other;  // the walk moves entries out of this log
+    return merge_walk(copy, fix, rules);
+  }
   // One walk over both sorted runs, applying add()'s rules to each entry of
   // `other`: `mine` is always this log's first entry not below it.
   std::vector<Entry> merged;
   merged.reserve(entries_.size() + other.entries_.size());
+  const auto emit = [&](const WriteId& id, DestSet&& dests) {
+    fix(merged.emplace_back(id, std::move(dests)));
+  };
   auto mine = entries_.begin();
   for (const Entry& theirs : other.entries_) {
-    while (mine != entries_.end() && mine->id < theirs.id) {
-      merged.push_back(std::move(*mine++));
+    for (; mine != entries_.end() && mine->id < theirs.id; ++mine) {
+      emit(mine->id, std::move(mine->dests));
     }
     if (mine != entries_.end() && mine->id == theirs.id) {
       mine->dests &= theirs.dests;
-      merged.push_back(std::move(*mine++));
+      emit(mine->id, std::move(mine->dests));
+      ++mine;
     } else if (mine == entries_.end() || mine->id.writer != theirs.id.writer) {
-      merged.push_back(theirs);  // absent here, and no newer entry of its writer
+      emit(theirs.id, DestSet(theirs.dests));  // absent here, and no newer entry of its writer
     }
   }
-  std::move(mine, entries_.end(), std::back_inserter(merged));
+  for (; mine != entries_.end(); ++mine) emit(mine->id, std::move(mine->dests));
   entries_ = std::move(merged);
+  const std::size_t size = entries_.size();
+  clean(rules);
+  return size;
+}
+
+void KsLog::merge(const KsLog& other) {
+  if (this == &other) return;  // every entry intersects with itself
+  merge_walk(other, [](Entry&) {}, Rules{false, false, false});
+}
+
+std::size_t KsLog::merge_and_clean(const KsLog& other, SiteId self,
+                                   const std::vector<WriteClock>& applied, Rules rules) {
+  return merge_walk(
+      other, [&](Entry& e) { erase_if_applied(e, self, applied); }, rules);
 }
 
 void KsLog::prune_dests(const DestSet& d) {
@@ -82,45 +170,36 @@ void KsLog::erase_dest_everywhere(SiteId s) {
 }
 
 void KsLog::prune_applied(SiteId s, const std::vector<WriteClock>& applied) {
-  for (Entry& e : entries_) {
-    if (e.id.writer < applied.size() && e.id.clock <= applied[e.id.writer]) {
-      e.dests.erase(s);
-    }
-  }
+  for (Entry& e : entries_) erase_if_applied(e, s, applied);
 }
 
-void KsLog::purge() {
-  // Most recent entry per writer survives even with an empty dest list (the
-  // marker rule); every other empty entry is dropped. Compacts in place:
-  // entries_[i + 1] is still unmoved when entry i is judged.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const bool is_latest_of_writer =
-        i + 1 == entries_.size() || entries_[i + 1].id.writer != entries_[i].id.writer;
-    if (entries_[i].dests.empty() && !is_latest_of_writer) continue;
-    if (kept != i) entries_[kept] = std::move(entries_[i]);
-    ++kept;
-  }
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(kept), entries_.end());
-}
-
-void KsLog::prune_by_program_order() {
-  if (entries_.size() < 2) return;
-  // Entries are ordered by (writer, clock); walk backwards accumulating the
-  // union of newer dest lists per writer.
+void KsLog::clean(const Rules& rules) {
+  if (!rules.program_order && !rules.purge) return;
+  // One backward walk: each writer's newest entry comes first. Kept
+  // entries gather at the back, then move down once if any was dropped.
   DestSet newer(n_);
-  for (std::size_t i = entries_.size(); i-- > 0;) {
-    DestSet& dests = entries_[i].dests;
-    const bool is_latest_of_writer =
-        i + 1 == entries_.size() || entries_[i + 1].id.writer != entries_[i].id.writer;
-    if (is_latest_of_writer) {
-      newer = dests;
+  SiteId writer = kInvalidSite;  // the writer of the entry after `e`
+  auto kept = entries_.end();
+  for (auto e = entries_.end(); e != entries_.begin();) {
+    --e;
+    if (e->id.writer != writer) {
+      writer = e->id.writer;  // the writer's newest entry: its marker, kept as is
+      if (rules.program_order) newer = e->dests;
     } else {
-      dests -= newer;
-      newer |= dests;
+      if (rules.program_order) {
+        e->dests -= newer;
+        newer |= e->dests;
+      }
+      if (rules.purge && e->dests.empty()) continue;
     }
+    if (--kept != e) *kept = std::move(*e);
   }
+  entries_.erase(entries_.begin(), kept);
 }
+
+void KsLog::purge() { clean(Rules{false, false, true}); }
+
+void KsLog::prune_by_program_order() { clean(Rules{false, true, false}); }
 
 WriteClock KsLog::max_clock_of(SiteId writer) const {
   // Entries are ordered by (writer, clock); the predecessor of the first
@@ -151,35 +230,80 @@ KsLog KsLog::naming(SiteId site) const {
 }
 
 void KsLog::serialize(serial::ByteWriter& w) const {
-  w.put_u16(n_);
-  w.put_u16(static_cast<std::uint16_t>(entries_.size()));
+  // One resize to the exact size, then plain stores.
+  const serial::ClockWidth cw = w.clock_width();
+  std::uint8_t* p = w.extend(wire_bytes(cw));
+  p = serial::store_le(p, n_, 2);
+  p = serial::store_le(p, static_cast<std::uint16_t>(entries_.size()), 2);
   for (const Entry& e : entries_) {
-    w.put_write_id(e.id);
-    w.put_dest_set(e.dests);
+    p = serial::store_write_id(p, e.id, cw);
+    p = serial::store_dest_set(p, e.dests);
   }
 }
 
 KsLog KsLog::deserialize(serial::ByteReader& r) {
   KsLog log(r.get_u16());
-  const std::uint16_t count = r.get_u16();
-  // A count the remaining bytes cannot hold is corrupt; refusing it here
-  // also bounds the one allocation below.
-  if (count > r.remaining() / kMinEntryWireBytes) {
-    r.fail();
-    return log;
-  }
+  const std::uint16_t count = read_count(r);
+  if (!r.ok()) return log;
   log.entries_.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    const WriteId id = r.get_write_id();
-    DestSet dests = r.get_dest_set();
-    if (!r.ok()) break;
-    const bool in_order = log.entries_.empty() || log.entries_.back().id < id;
-    if (dests.universe_size() != log.n_ || id.writer >= log.n_ || !in_order) {
-      r.fail();
-      break;
-    }
-    log.entries_.push_back(Entry{id, std::move(dests)});
+  EntryReader in(r, log.n_);
+  bool ok = true;
+  WriteId id;
+  for (std::uint16_t i = 0; ok && i < count; ++i) {
+    ok = in.id(id);
+    if (!ok) break;
+    Entry& e = log.entries_.emplace_back();
+    e.id = id;
+    ok = in.dests(e.dests);
+    if (!ok) log.entries_.pop_back();
   }
+  in.finish(r, ok);
+  return log;
+}
+
+KsLog KsLog::decode_applied(serial::ByteReader& r, const Receipt& m, Rules rules,
+                            std::vector<WriteId>& waits_on, KsLog storage) {
+  KsLog log = std::move(storage);
+  log.entries_.clear();
+  log.n_ = r.get_u16();
+  const std::uint16_t count = read_count(r);
+  // A foreign universe is malformed here: the set operations below need
+  // dests(m)'s.
+  if (r.ok() && log.n_ != m.dests.universe_size()) r.fail();
+  if (!r.ok()) return log;
+  // The write's own entry: condition (1), it is applied here.
+  DestSet own = m.dests;
+  own.erase(m.self);
+  bool own_pending = true;  // until the walk passes the write's position
+  std::vector<Entry>& out = log.entries_;
+  out.reserve(count + 1u);
+  EntryReader in(r, log.n_);
+  WriteId id;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    if (!in.id(id)) {
+      in.finish(r, false);
+      return log;
+    }
+    bool is_own = false;
+    if (own_pending && !(id < m.write)) {
+      // add(write, own) at its position: intersect with the same write, be
+      // obsolete behind a newer entry of its writer, else enter here.
+      own_pending = false;
+      is_own = id == m.write;
+      if (!is_own && id.writer != m.write.writer) out.emplace_back(m.write, own);
+    }
+    DestSet& dests = out.emplace_back(id, DestSet()).dests;
+    if (!in.dests(dests)) {
+      in.finish(r, false);
+      return log;
+    }
+    if (dests.contains(m.self) && m.applied[id.writer] < id.clock) waits_on.push_back(id);
+    if (rules.prune_on_apply) dests -= m.dests;
+    if (is_own) dests &= own;
+  }
+  if (own_pending) out.emplace_back(m.write, std::move(own));
+  in.finish(r, true);
+  log.clean(rules);
   return log;
 }
 

@@ -19,6 +19,12 @@
 // linear pass (merge walks the two sorted runs together). Every site keeps
 // one log per variable it holds (the LastWriteOn logs), so stored logs
 // carry no geometric slack: add() grows the capacity by one entry.
+//
+// Opt-Track's receive paths cost one walk per message over the log they
+// build — an SM decode (decode_applied) or a read's merge
+// (merge_and_clean) — plus one backward pass over the just-built log for
+// the rules that look along a writer's entries (program order, purge),
+// which compacts it at most once.
 #pragma once
 
 #include <vector>
@@ -32,6 +38,26 @@ namespace causim::causal {
 
 class KsLog {
  public:
+  /// The pruning rules a walk applies on top of MERGE / add() — Opt-Track's
+  /// ProtocolOptions toggles, all on in the paper.
+  struct Rules {
+    /// Conditions (1)+(2) at an SM's receiver: the piggybacked entries shed
+    /// dests(m) (decode_applied only).
+    bool prune_on_apply = true;
+    /// prune_by_program_order().
+    bool program_order = true;
+    /// purge().
+    bool purge = true;
+  };
+
+  /// An SM as its receiver applies it (see decode_applied).
+  struct Receipt {
+    WriteId write;                           // the SM's write
+    const DestSet& dests;                    // dests(m), the receiver included
+    SiteId self;                             // the receiver
+    const std::vector<WriteClock>& applied;  // the receiver's Apply vector
+  };
+
   KsLog() = default;
   explicit KsLog(SiteId n) : n_(n) {}
 
@@ -59,6 +85,14 @@ class KsLog {
   /// MERGE of §V-A-2: folds every entry of `other` into this log with the
   /// same rules as add().
   void merge(const KsLog& other);
+
+  /// MERGE followed by the cleanup a site runs on its own log after it:
+  /// prune_applied(self, applied) on each entry as the merge walk emits
+  /// it, then prune_by_program_order() and purge() as `rules` say, in one
+  /// backward pass. Returns the merged size, before purge dropped any
+  /// entry.
+  std::size_t merge_and_clean(const KsLog& other, SiteId self,
+                              const std::vector<WriteClock>& applied, Rules rules);
 
   /// Implicit condition (2): a message was just sent to every site in `d`,
   /// so remove `d` from every entry's dest list.
@@ -123,6 +157,21 @@ class KsLog {
   /// entries decoded so far are returned.
   static KsLog deserialize(serial::ByteReader& r);
 
+  /// The receiver's side of an SM in one pass over its piggybacked log:
+  /// decodes it straight into the dependency log the SM's write leaves
+  /// here — the piggyback, pruned by dests(m) (rules.prune_on_apply), plus
+  /// the write's own entry with dests(m) ∖ {self} under add()'s rules —
+  /// then runs prune_by_program_order() and purge() as `rules` say in one
+  /// backward pass over the just-decoded entries. The
+  /// activation predicate reads the piggyback before any pruning: each
+  /// entry that names `self` for a write `applied` has not reached is
+  /// appended to `waits_on`, in (writer, clock) order. Malformed bytes are
+  /// rejected as deserialize() rejects them, and so is a log whose universe
+  /// is not dests(m)'s. The result is built in `storage`'s buffer (its
+  /// entries are dropped), so a caller can recycle a spent log's capacity.
+  static KsLog decode_applied(serial::ByteReader& r, const Receipt& m, Rules rules,
+                              std::vector<WriteId>& waits_on, KsLog storage);
+
   /// Exact serialized size: count (u16) + per entry WriteId + dest list.
   std::size_t wire_bytes(serial::ClockWidth cw) const;
 
@@ -133,6 +182,11 @@ class KsLog {
     bool operator==(const Entry&) const = default;
   };
   static_assert(sizeof(Entry) <= 32, "a log entry is a WriteId plus an inline DestSet");
+  /// Program order and purge, as `rules` says, in one backward walk that
+  /// compacts the log at most once.
+  void clean(const Rules& rules);
+  template <typename Fix>
+  std::size_t merge_walk(const KsLog& other, Fix fix, const Rules& rules);
 
   SiteId n_ = 0;
   std::vector<Entry> entries_;  // sorted by id, ids unique

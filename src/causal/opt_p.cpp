@@ -60,7 +60,7 @@ BlockingDep OptP::blocking_dep(const PendingUpdate& u) const {
   return {};
 }
 
-void OptP::apply(const PendingUpdate& u) {
+void OptP::apply(PendingUpdate& u) {
   const auto& p = static_cast<const Pending&>(u);
   CAUSIM_CHECK(ready(u), "apply called with a false activation predicate");
   ++apply_[p.env().sender];

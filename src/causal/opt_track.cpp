@@ -1,5 +1,7 @@
 #include "causal/opt_track.hpp"
 
+#include <utility>
+
 #include "common/panic.hpp"
 
 namespace causim::causal {
@@ -41,61 +43,56 @@ WriteId OptTrack::local_write(VarId var, const Value& v, const DestSet& dests,
 void OptTrack::local_read(VarId var) {
   const auto it = last_write_on_.find(var);
   if (it == last_write_on_.end()) return;  // variable still ⊥
-  const std::size_t before = log_.size();
-  log_.merge(it->second);
-  notify_merge(before, it->second.size(), log_.size());
-  post_merge_cleanup();
+  merge_read(it->second);
 }
 
 std::unique_ptr<PendingUpdate> OptTrack::decode_sm(SmEnvelope env, DestSet dests,
                                                    serial::ByteReader& meta) {
-  KsLog piggyback = KsLog::deserialize(meta);
-  CAUSIM_CHECK(piggyback.universe_size() == n_, "SM log has wrong universe");
-  return std::make_unique<Pending>(env, std::move(dests), std::move(piggyback));
+  auto p = std::make_unique<Pending>(env, std::move(dests));
+  // The dependency log to associate with the variable's new value, built
+  // during the decode. With prune_on_apply, condition (2) at the receiver:
+  // the applied message itself now carries the ordering obligation toward
+  // each of its destinations, so the piggybacked entries shed dests(m) —
+  // which includes this site, giving condition (1) as a special case.
+  p->deps = KsLog::decode_applied(meta, {env.write, p->dests(), self_, apply_}, rules(),
+                                  p->waits_on, std::move(spare_));
+  CAUSIM_CHECK(p->deps.universe_size() == n_, "SM log has wrong universe");
+  return p;
+}
+
+const WriteId* OptTrack::first_waiting(const Pending& p) const {
+  for (const WriteId& id : p.waits_on) {
+    if (apply_[id.writer] < id.clock) return &id;
+  }
+  return nullptr;
 }
 
 bool OptTrack::ready(const PendingUpdate& u) const {
-  const auto& p = static_cast<const Pending&>(u);
   // A_OPT: every write in the sender's causal past that is destined here
   // must already be applied here. The sender's own previous write destined
   // here is always among the piggybacked entries (its entry keeps this site
   // in its dest list until a newer write to this site supersedes it), so
   // per-writer program order needs no separate check.
-  return p.piggyback.first_unapplied(self_, apply_) == nullptr;
+  return first_waiting(static_cast<const Pending&>(u)) == nullptr;
 }
 
 BlockingDep OptTrack::blocking_dep(const PendingUpdate& u) const {
-  const auto& p = static_cast<const Pending&>(u);
-  // The piggybacked log is sorted by WriteId, so "first failing entry" is
-  // deterministic. The entry names the blocker directly: a write destined
-  // here whose clock this site has not applied yet.
-  const WriteId* blocker = p.piggyback.first_unapplied(self_, apply_);
+  // The witnesses keep the piggyback's (writer, clock) order, so "first
+  // failing entry" is deterministic. The entry names the blocker directly:
+  // a write destined here whose clock this site has not applied yet.
+  const WriteId* blocker = first_waiting(static_cast<const Pending&>(u));
   if (blocker == nullptr) return BlockingDep{};
   return BlockingDep{blocker->writer, blocker->clock};
 }
 
-void OptTrack::apply(const PendingUpdate& u) {
-  const auto& p = static_cast<const Pending&>(u);
+void OptTrack::apply(PendingUpdate& u) {
+  auto& p = static_cast<Pending&>(u);
   CAUSIM_CHECK(ready(u), "apply called with a false activation predicate");
   const WriteId w = p.env().write;
   CAUSIM_CHECK(apply_[w.writer] < w.clock, "per-writer applies out of order");
   apply_[w.writer] = w.clock;
-
-  // Build the dependency log to associate with the variable's new value.
-  KsLog deps = p.piggyback;
-  if (options_.prune_on_apply) {
-    // Condition (2) at the receiver: the applied message itself now carries
-    // the ordering obligation toward each of its destinations, so the
-    // piggybacked entries shed dests(m) — which includes this site, giving
-    // condition (1) as a special case.
-    deps.prune_dests(p.dests());
-  }
-  DestSet remaining = p.dests();
-  remaining.erase(self_);  // condition (1) for the new write itself
-  deps.add(w, remaining);
-  if (options_.prune_program_order) deps.prune_by_program_order();
-  if (options_.purge_markers) deps.purge();
-  last_write_on_[p.env().var] = std::move(deps);
+  // The replaced log's buffer is recycled by the next decode.
+  spare_ = std::exchange(last_write_on_[p.env().var], std::move(p.deps));
 }
 
 void OptTrack::remote_return_meta(VarId var, serial::ByteWriter& out) const {
@@ -129,21 +126,16 @@ bool OptTrack::return_ready(const PendingReturn& r) const {
 void OptTrack::absorb_remote_return(VarId var, const PendingReturn& r) {
   (void)var;
   CAUSIM_CHECK(return_ready(r), "absorb called before the remote return was ready");
-  const auto& incoming = static_cast<const OptTrackReturn&>(r).log;
-  const std::size_t before = log_.size();
-  log_.merge(incoming);
-  notify_merge(before, incoming.size(), log_.size());
-  post_merge_cleanup();
+  merge_read(static_cast<const OptTrackReturn&>(r).log);
 }
 
-void OptTrack::post_merge_cleanup() {
+void OptTrack::merge_read(const KsLog& incoming) {
   const std::size_t before = log_.size();
   // Condition (1) against local knowledge: writes we have already applied
   // need no "this site is a destination" records in our own log.
-  log_.prune_applied(self_, apply_);
-  if (options_.prune_program_order) log_.prune_by_program_order();
-  if (options_.purge_markers) log_.purge();
-  if (log_.size() < before) notify_prune(before, log_.size());
+  const std::size_t merged = log_.merge_and_clean(incoming, self_, apply_, rules());
+  notify_merge(before, incoming.size(), merged);
+  if (log_.size() < merged) notify_prune(merged, log_.size());
 }
 
 namespace {

@@ -12,6 +12,12 @@
 //       (transitivity carries the constraint).
 // The log is piggybacked on SM and RM messages and merged into the local
 // log only when a read observes the value (→co, not →).
+//
+// Every message costs one walk over its log plus one clean pass over the
+// result: an SM's piggyback is decoded straight into the LastWriteOn log
+// its apply installs (with apply's pruning done during the decode), and a
+// read merges with prune_applied in the walk (KsLog::decode_applied,
+// KsLog::merge_and_clean).
 #pragma once
 
 #include <unordered_map>
@@ -38,7 +44,7 @@ class OptTrack final : public Protocol {
                                            serial::ByteReader& meta) override;
   bool ready(const PendingUpdate& u) const override;
   BlockingDep blocking_dep(const PendingUpdate& u) const override;
-  void apply(const PendingUpdate& u) override;
+  void apply(PendingUpdate& u) override;
 
   void remote_return_meta(VarId var, serial::ByteWriter& out) const override;
   std::unique_ptr<PendingReturn> decode_remote_return(
@@ -63,12 +69,24 @@ class OptTrack final : public Protocol {
 
  private:
   struct Pending final : PendingUpdate {
-    Pending(SmEnvelope e, DestSet d, KsLog l)
-        : PendingUpdate(e, std::move(d)), piggyback(std::move(l)) {}
-    KsLog piggyback;
+    using PendingUpdate::PendingUpdate;
+    /// LastWriteOn⟨var⟩ once applied: the piggyback with apply's pruning
+    /// already done (KsLog::decode_applied); apply() moves it in.
+    KsLog deps;
+    /// The piggybacked writes destined here that were not applied here at
+    /// decode, in (writer, clock) order — all the activation predicate
+    /// reads (Apply only grows, so the rest stay applied).
+    std::vector<WriteId> waits_on;
   };
 
-  void post_merge_cleanup();
+  KsLog::Rules rules() const {
+    return {options_.prune_on_apply, options_.prune_program_order, options_.purge_markers};
+  }
+  /// The activation predicate's witness: the first write `p` waits on
+  /// that is still not applied here, or nullptr.
+  const WriteId* first_waiting(const Pending& p) const;
+  /// A read's →co edge: merges `incoming` into the local log and cleans it.
+  void merge_read(const KsLog& incoming);
 
   SiteId self_;
   SiteId n_;
@@ -82,6 +100,7 @@ class OptTrack final : public Protocol {
   std::vector<WriteClock> apply_;
   KsLog log_;
   std::unordered_map<VarId, KsLog> last_write_on_;
+  KsLog spare_;  // a replaced LastWriteOn log, whose buffer the next SM decode reuses
 };
 
 }  // namespace causim::causal

@@ -91,7 +91,7 @@ BlockingDep OptTrackCrp::blocking_dep(const PendingUpdate& u) const {
   return {};
 }
 
-void OptTrackCrp::apply(const PendingUpdate& u) {
+void OptTrackCrp::apply(PendingUpdate& u) {
   const auto& p = static_cast<const Pending&>(u);
   CAUSIM_CHECK(ready(u), "apply called with a false activation predicate");
   const WriteId w = p.env().write;

@@ -36,7 +36,7 @@ class OptTrackCrp final : public Protocol {
                                            serial::ByteReader& meta) override;
   bool ready(const PendingUpdate& u) const override;
   BlockingDep blocking_dep(const PendingUpdate& u) const override;
-  void apply(const PendingUpdate& u) override;
+  void apply(PendingUpdate& u) override;
 
   void remote_return_meta(VarId var, serial::ByteWriter& out) const override;
   std::unique_ptr<PendingReturn> decode_remote_return(

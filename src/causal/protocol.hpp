@@ -175,8 +175,9 @@ class Protocol {
   }
 
   /// Applies `u`'s ordering effects (Apply counters, LastWriteOn). The
-  /// runtime writes the value into the variable store.
-  virtual void apply(const PendingUpdate& u) = 0;
+  /// runtime writes the value into the variable store. Consumes `u`'s
+  /// decoded meta-data: the runtime applies an update once, then drops it.
+  virtual void apply(PendingUpdate& u) = 0;
 
   /// Serializes LastWriteOn⟨var⟩ for an RM (remote return) message.
   virtual void remote_return_meta(VarId var, serial::ByteWriter& out) const = 0;

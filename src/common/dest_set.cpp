@@ -1,7 +1,6 @@
 #include "common/dest_set.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "common/panic.hpp"
@@ -43,13 +42,6 @@ void DestSet::outside_universe(SiteId s) const {
   std::ostringstream os;
   os << "site " << s << " outside universe of size " << n_;
   panic(__FILE__, __LINE__, os.str());
-}
-
-SiteId DestSet::count() const {
-  std::size_t c = 0;
-  const std::uint64_t* words = data();
-  for (std::size_t i = 0; i < word_count(); ++i) c += std::popcount(words[i]);
-  return static_cast<SiteId>(c);
 }
 
 void DestSet::universe_mismatch(const DestSet& other) const {

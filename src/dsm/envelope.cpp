@@ -13,29 +13,27 @@ serial::Bytes Envelope::encode(serial::ClockWidth cw, Sizes* sizes) const {
 }
 
 void Envelope::encode_into(serial::ByteWriter& w, Sizes* sizes) const {
-  w.put_u8(static_cast<std::uint8_t>(kind));
-  w.put_site(sender);
-  w.put_var(var);
-  switch (kind) {
-    case MessageKind::kSM:
-      w.put_write_id(write);
-      w.put_u64(value.id);
-      w.put_u32(value.payload_bytes);
-      break;
-    case MessageKind::kFM:
-      w.put_u64(fetch_seq);
-      w.put_u8(record ? 1 : 0);
-      break;
-    case MessageKind::kRM:
-      w.put_u64(fetch_seq);
-      w.put_u8(record ? 1 : 0);
-      w.put_write_id(write);
-      w.put_u64(value.id);
-      w.put_u32(value.payload_bytes);
-      break;
+  // The fixed-size header is sized once and stored field by field.
+  const serial::ClockWidth cw = w.clock_width();
+  const std::size_t write_id = 2 + static_cast<std::size_t>(cw);
+  std::size_t fields = 1 + 2 + 4 + 4;  // kind, sender, var, meta length
+  if (kind != MessageKind::kSM) fields += 8 + 1;             // fetch_seq, record
+  if (kind != MessageKind::kFM) fields += write_id + 8 + 4;  // write, value id, payload
+  std::uint8_t* p = w.extend(fields);
+  p = serial::store_le(p, static_cast<std::uint8_t>(kind), 1);
+  p = serial::store_le(p, sender, 2);
+  p = serial::store_le(p, var, 4);
+  if (kind != MessageKind::kSM) {
+    p = serial::store_le(p, fetch_seq, 8);
+    p = serial::store_le(p, record ? 1 : 0, 1);
   }
-  w.put_u32(static_cast<std::uint32_t>(meta.size()));
-  const std::size_t header_bytes = w.size();  // everything so far minus nothing: meta not yet written
+  if (kind != MessageKind::kFM) {
+    p = serial::store_write_id(p, write, cw);
+    p = serial::store_le(p, value.id, 8);
+    p = serial::store_le(p, value.payload_bytes, 4);
+  }
+  serial::store_le(p, meta.size(), 4);
+  const std::size_t header_bytes = w.size();  // the writer started empty
   w.put_bytes(meta.data(), meta.size());
   if (kind != MessageKind::kFM) w.put_opaque(value.payload_bytes);
   if (sizes != nullptr) {
@@ -45,10 +43,11 @@ void Envelope::encode_into(serial::ByteWriter& w, Sizes* sizes) const {
   }
 }
 
-std::optional<Envelope> Envelope::try_decode(const serial::Bytes& bytes,
-                                             serial::ClockWidth cw) {
+std::optional<EnvelopeView> Envelope::try_view(const serial::Bytes& bytes,
+                                               serial::ClockWidth cw) {
   serial::ByteReader r(bytes, cw);
-  Envelope e;
+  EnvelopeView view;
+  Envelope& e = view.env;
   const std::uint8_t kind_byte = r.get_u8();
   if (!r.ok() || kind_byte > static_cast<std::uint8_t>(MessageKind::kRM)) {
     return std::nullopt;
@@ -76,15 +75,28 @@ std::optional<Envelope> Envelope::try_decode(const serial::Bytes& bytes,
   }
   const std::uint32_t meta_len = r.get_u32();
   if (!r.ok() || r.remaining() < meta_len) return std::nullopt;
-  e.meta.assign(bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()),
-                bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()) + meta_len);
+  view.meta = std::span(bytes).subspan(bytes.size() - r.remaining(), meta_len);
   r.skip(meta_len);
   if (e.kind != MessageKind::kFM) {
     if (r.remaining() != e.value.payload_bytes) return std::nullopt;
   } else {
     if (!r.done()) return std::nullopt;
   }
-  return e;
+  return view;
+}
+
+EnvelopeView Envelope::view(const serial::Bytes& bytes, serial::ClockWidth cw) {
+  std::optional<EnvelopeView> v = try_view(bytes, cw);
+  CAUSIM_CHECK(v.has_value(), "malformed envelope (" << bytes.size() << " bytes)");
+  return *v;
+}
+
+std::optional<Envelope> Envelope::try_decode(const serial::Bytes& bytes,
+                                             serial::ClockWidth cw) {
+  std::optional<EnvelopeView> v = try_view(bytes, cw);
+  if (!v.has_value()) return std::nullopt;
+  v->env.meta.assign(v->meta.begin(), v->meta.end());
+  return std::move(v->env);
 }
 
 Envelope Envelope::decode(const serial::Bytes& bytes, serial::ClockWidth cw) {

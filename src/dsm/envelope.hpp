@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "common/ids.hpp"
 #include "common/message_kind.hpp"
@@ -20,6 +21,8 @@
 #include "serial/writer.hpp"
 
 namespace causim::dsm {
+
+struct EnvelopeView;
 
 struct Envelope {
   MessageKind kind = MessageKind::kSM;
@@ -56,15 +59,31 @@ struct Envelope {
   /// width.
   void encode_into(serial::ByteWriter& w, Sizes* sizes = nullptr) const;
 
-  /// Decodes untrusted bytes: any truncation, length mismatch, or unknown
-  /// kind byte yields nullopt instead of a panic (the fuzz round-trip in
-  /// tests/test_envelope.cpp flips and truncates at will).
+  /// Decodes untrusted bytes in place (see EnvelopeView): any truncation,
+  /// length mismatch, or unknown kind byte yields nullopt instead of a
+  /// panic.
+  static std::optional<EnvelopeView> try_view(const serial::Bytes& bytes,
+                                              serial::ClockWidth cw);
+
+  /// Strict variant for frames the simulation itself produced (the
+  /// runtime's receive path): panics on malformed input.
+  static EnvelopeView view(const serial::Bytes& bytes, serial::ClockWidth cw);
+
+  /// try_view plus a copy of the meta-data into `meta` (the fuzz round-trip
+  /// in tests/test_envelope.cpp flips and truncates at will).
   static std::optional<Envelope> try_decode(const serial::Bytes& bytes,
                                             serial::ClockWidth cw);
 
-  /// Strict variant for bytes the simulation itself produced: panics on
-  /// malformed input.
+  /// Strict variant of try_decode: panics on malformed input.
   static Envelope decode(const serial::Bytes& bytes, serial::ClockWidth cw);
+};
+
+/// A frame decoded in place: `env` holds every field but `meta` (left
+/// empty), and `meta` views the meta-data bytes inside the frame — valid
+/// while the frame is — so a receiver decodes them without a copy.
+struct EnvelopeView {
+  Envelope env;
+  std::span<const std::uint8_t> meta;
 };
 
 }  // namespace causim::dsm

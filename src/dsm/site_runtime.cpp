@@ -197,38 +197,40 @@ bool SiteRuntime::fetch_pending() const {
 }
 
 void SiteRuntime::on_packet(net::Packet packet) {
-  Envelope env = Envelope::decode(packet.bytes, clock_width_);
-  {
-    // The frame is spent: decode copied everything into `env`.
-    std::lock_guard lock(mutex_);
-    recycle_locked(std::move(packet.bytes));
-  }
-  switch (env.kind) {
+  // The protocol decodes the meta-data straight from the frame; each
+  // handler recycles the frame once that is done.
+  const EnvelopeView frame = Envelope::view(packet.bytes, clock_width_);
+  switch (frame.env.kind) {
     case MessageKind::kSM:
-      handle_sm(std::move(env));
+      handle_sm(frame, packet.bytes);
       break;
     case MessageKind::kFM:
-      handle_fm(env, packet.from);
+      handle_fm(frame, packet.from, packet.bytes);
       break;
     case MessageKind::kRM:
-      handle_rm(std::move(env));
+      handle_rm(frame, packet.bytes);
       break;
   }
 }
 
-void SiteRuntime::handle_sm(Envelope env) {
+serial::ByteReader SiteRuntime::meta_reader(const EnvelopeView& frame) const {
+  return serial::ByteReader(frame.meta.data(), frame.meta.size(), clock_width_);
+}
+
+void SiteRuntime::handle_sm(const EnvelopeView& frame, serial::Bytes& bytes) {
+  const Envelope& env = frame.env;
   std::function<void()> completion;
   {
     std::lock_guard lock(mutex_);
     CAUSIM_CHECK(placement_.replicated_at(env.var, self_),
                  "SM for var " << env.var << " reached non-replica site " << self_);
-    serial::ByteReader meta(env.meta, clock_width_);
+    serial::ByteReader meta = meta_reader(frame);
     causal::SmEnvelope sm{env.sender, env.var, env.value, env.write};
     auto update = protocol_->decode_sm(sm, placement_.replicas(env.var), meta);
     CAUSIM_CHECK(meta.ok(), "corrupt SM meta-data at site " << self_
                                                             << " (the reliability layer "
                                                                "must deliver intact bytes)");
-    recycle_locked(std::move(env.meta));  // decode_sm copied what it needs
+    recycle_locked(std::move(bytes));  // the frame is spent
     const bool buffered = !protocol_->ready(*update);
     QueuedUpdate queued{std::move(update), now_locked(), buffered, {}, 0};
     if (buffered && trace_ != nullptr) {
@@ -259,24 +261,27 @@ void SiteRuntime::handle_sm(Envelope env) {
   if (completion) completion();
 }
 
-void SiteRuntime::handle_fm(const Envelope& env, SiteId from) {
+void SiteRuntime::handle_fm(const EnvelopeView& frame, SiteId from, serial::Bytes& bytes) {
+  const Envelope& env = frame.env;
   std::lock_guard lock(mutex_);
   CAUSIM_CHECK(placement_.replicated_at(env.var, self_),
                "fetch for var " << env.var << " reached non-replica site " << self_);
-  if (causal_fetch_ && !env.meta.empty()) {
-    serial::ByteReader guard_meta(env.meta, clock_width_);
-    auto guard = protocol_->decode_fetch_guard(guard_meta);
+  std::unique_ptr<causal::FetchGuard> guard;
+  if (causal_fetch_ && !frame.meta.empty()) {
+    serial::ByteReader guard_meta = meta_reader(frame);
+    guard = protocol_->decode_fetch_guard(guard_meta);
     CAUSIM_CHECK(guard_meta.ok(), "corrupt FM guard meta-data at site " << self_);
-    if (guard != nullptr && !protocol_->fetch_ready(*guard)) {
-      held_fetches_.push_back(HeldFetch{env, from, std::move(guard)});
-      held_fetch_hwm_ = std::max(held_fetch_hwm_, held_fetches_.size());
-      obs::TraceEvent e;
-      e.type = obs::TraceEventType::kFetchHeld;
-      e.peer = from;
-      e.a = env.var;
-      trace_locked(e);
-      return;
-    }
+  }
+  recycle_locked(std::move(bytes));  // the frame is spent
+  if (guard != nullptr && !protocol_->fetch_ready(*guard)) {
+    held_fetches_.push_back(HeldFetch{env, from, std::move(guard)});
+    held_fetch_hwm_ = std::max(held_fetch_hwm_, held_fetches_.size());
+    obs::TraceEvent e;
+    e.type = obs::TraceEventType::kFetchHeld;
+    e.peer = from;
+    e.a = env.var;
+    trace_locked(e);
+    return;
   }
   serve_fm_locked(env, from);
 }
@@ -301,7 +306,8 @@ void SiteRuntime::serve_fm_locked(const Envelope& env, SiteId from) {
   recycle_locked(std::move(rm.meta));
 }
 
-void SiteRuntime::handle_rm(Envelope env) {
+void SiteRuntime::handle_rm(const EnvelopeView& frame, serial::Bytes& bytes) {
+  const Envelope& env = frame.env;
   std::function<void()> completion;
   {
     std::lock_guard lock(mutex_);
@@ -309,9 +315,10 @@ void SiteRuntime::handle_rm(Envelope env) {
                  "unexpected RM (seq " << env.fetch_seq << ") at site " << self_);
     CAUSIM_CHECK(fetch_->var == env.var, "RM variable mismatch");
     CAUSIM_CHECK(!held_return_.has_value(), "two remote returns outstanding");
-    serial::ByteReader meta(env.meta, clock_width_);
-    held_return_ = HeldReturn{std::move(env), protocol_->decode_remote_return(meta)};
+    serial::ByteReader meta = meta_reader(frame);
+    held_return_ = HeldReturn{env, protocol_->decode_remote_return(meta)};
     CAUSIM_CHECK(meta.ok(), "corrupt RM meta-data at site " << self_);
+    recycle_locked(std::move(bytes));  // the frame is spent
     completion = try_complete_fetch_locked();
   }
   if (completion) completion();

@@ -144,9 +144,12 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
     SimTime started = 0;
   };
 
-  void handle_sm(Envelope env);
-  void handle_fm(const Envelope& env, SiteId from);
-  void handle_rm(Envelope env);
+  // Each handler decodes `frame.meta` (inside `bytes`) and then recycles
+  // `bytes` into the frame pool.
+  void handle_sm(const EnvelopeView& frame, serial::Bytes& bytes);
+  void handle_fm(const EnvelopeView& frame, SiteId from, serial::Bytes& bytes);
+  void handle_rm(const EnvelopeView& frame, serial::Bytes& bytes);
+  serial::ByteReader meta_reader(const EnvelopeView& frame) const;
   void serve_fm_locked(const Envelope& env, SiteId from);
   void drain_held_fetches_locked();
   /// If a held remote return became absorbable, absorbs it and returns the

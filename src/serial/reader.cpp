@@ -7,16 +7,6 @@ std::uint8_t ByteReader::get_u8() {
   return buf_[pos_++];
 }
 
-std::uint64_t ByteReader::get_fixed(std::size_t width) {
-  if (!ok_ || pos_ + width > size_) return fail();
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += width;
-  return v;
-}
-
 std::uint64_t ByteReader::get_varint() {
   std::uint64_t v = 0;
   unsigned shift = 0;
@@ -29,33 +19,6 @@ std::uint64_t ByteReader::get_varint() {
     shift += 7;
   }
   return v;
-}
-
-WriteId ByteReader::get_write_id() {
-  WriteId w;
-  w.writer = get_site();
-  w.clock = static_cast<WriteClock>(get_clock());
-  return w;
-}
-
-DestSet ByteReader::get_dest_set() {
-  const SiteId n = get_u16();
-  const SiteId count = get_u16();
-  DestSet d(n);
-  if (count > n) {
-    fail();  // more members than the universe holds: corrupt
-    return d;
-  }
-  for (SiteId i = 0; i < count; ++i) {
-    const SiteId s = get_site();
-    if (!ok_) return d;
-    if (s >= n) {
-      fail();  // member outside the universe would panic DestSet::insert
-      return d;
-    }
-    d.insert(s);
-  }
-  return d;
 }
 
 std::string ByteReader::get_string() {

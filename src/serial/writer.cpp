@@ -10,15 +10,6 @@ void ByteWriter::put_varint(std::uint64_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void ByteWriter::put_dest_set(const DestSet& d) {
-  // Explicit member list (universe, count, members): destination lists are
-  // the object the Opt-Track pruning rules shrink, so their wire size must
-  // shrink with them — a bitset would hide that below 64 sites.
-  put_u16(d.universe_size());
-  put_u16(d.count());
-  d.for_each([this](SiteId s) { put_u16(s); });
-}
-
 void ByteWriter::put_bytes(const void* data, std::size_t len) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), p, p + len);

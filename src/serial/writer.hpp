@@ -10,6 +10,7 @@
 // testbed (see DESIGN.md §1).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -25,6 +26,35 @@ using Bytes = std::vector<std::uint8_t>;
 
 /// Global clock-entry width selector (4 = native, 8 = JDK-like).
 enum class ClockWidth : std::uint8_t { k4Bytes = 4, k8Bytes = 8 };
+
+/// Stores the low `width` (<= 8) bytes of `v` at `p`, least significant
+/// first on every host, in one word copy; returns the byte after them.
+inline std::uint8_t* store_le(std::uint8_t* p, std::uint64_t v, std::size_t width) {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, width);
+  return p + width;
+}
+
+inline std::uint8_t* store_clock(std::uint8_t* p, std::uint64_t v, ClockWidth cw) {
+  return cw == ClockWidth::k8Bytes ? store_le(p, v, 8) : store_le(p, v, 4);
+}
+
+/// A WriteId: writer u16, then the clock at width `cw`.
+inline std::uint8_t* store_write_id(std::uint8_t* p, const WriteId& w, ClockWidth cw) {
+  return store_clock(store_le(p, w.writer, 2), w.clock, cw);
+}
+
+/// A dest set as an explicit member list: universe u16, count u16, then
+/// each member u16 in increasing order — d.wire_bytes() bytes. Destination
+/// lists are the object the Opt-Track pruning rules shrink, so their wire
+/// size must shrink with them; a bitset would hide that below 64 sites.
+inline std::uint8_t* store_dest_set(std::uint8_t* p, const DestSet& d) {
+  std::uint8_t* const count = store_le(p, d.universe_size(), 2);
+  p = count + 2;
+  d.for_each([&p](SiteId s) { p = store_le(p, s, 2); });
+  store_le(count, static_cast<std::uint64_t>(p - count - 2) / 2, 2);  // members stored
+  return p;
+}
 
 class ByteWriter {
  public:
@@ -45,24 +75,34 @@ class ByteWriter {
   void put_varint(std::uint64_t v);
 
   /// One logical clock entry, at the configured width.
-  void put_clock(std::uint64_t v) { put_fixed(v, static_cast<std::size_t>(clock_width_)); }
+  void put_clock(std::uint64_t v) {
+    store_clock(extend(static_cast<std::size_t>(clock_width_)), v, clock_width_);
+  }
 
   void put_site(SiteId s) { put_u16(s); }
   void put_var(VarId v) { put_u32(v); }
   void put_write_id(const WriteId& w) {
-    put_site(w.writer);
-    put_clock(w.clock);
+    store_write_id(extend(2 + static_cast<std::size_t>(clock_width_)), w, clock_width_);
   }
 
-  /// Bitset encoding: u16 universe size + ceil(n/64) raw words.
-  void put_dest_set(const DestSet& d);
+  /// Member-list encoding (see store_dest_set).
+  void put_dest_set(const DestSet& d) { store_dest_set(extend(d.wire_bytes()), d); }
 
   void put_bytes(const void* data, std::size_t len);
   void put_string(std::string_view s);
 
   /// Appends `len` zero bytes — models an opaque payload of that size
   /// without the caller materializing it.
-  void put_opaque(std::size_t len) { buf_.resize(buf_.size() + len, 0); }
+  void put_opaque(std::size_t len) { extend(len); }
+
+  /// Grows the buffer by `len` zero bytes and returns where they start:
+  /// an encoder that knows a block's exact size (KsLog::serialize) sizes
+  /// the buffer once and stores the block through the store_* helpers.
+  std::uint8_t* extend(std::size_t len) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + len);
+    return buf_.data() + at;
+  }
 
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const { return buf_; }
@@ -70,11 +110,7 @@ class ByteWriter {
   ClockWidth clock_width() const { return clock_width_; }
 
  private:
-  void put_fixed(std::uint64_t v, std::size_t width) {
-    for (std::size_t i = 0; i < width; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
+  void put_fixed(std::uint64_t v, std::size_t width) { store_le(extend(width), v, width); }
 
   ClockWidth clock_width_;
   Bytes buf_;

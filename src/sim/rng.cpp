@@ -1,6 +1,7 @@
 #include "sim/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace causim::sim {
@@ -21,12 +22,25 @@ ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
   // carrying non-negative mass, or inversion misassigns probability.
   CAUSIM_CHECK(std::is_sorted(cdf_.begin(), cdf_.end()),
                "Zipf CDF not monotone after normalization");
+  // A power-of-two bucket count makes b / B and u * B exact in double, so
+  // a draw's bucket b satisfies b / B <= u < (b + 1) / B exactly.
+  const std::uint32_t buckets = std::bit_ceil(std::min<std::uint32_t>(n, 1u << 16));
+  guide_.resize(buckets + 1);
+  std::uint32_t k = 0;
+  for (std::uint32_t b = 0; b <= buckets; ++b) {
+    const double edge = static_cast<double>(b) / buckets;
+    while (cdf_[k] < edge) ++k;  // ends by cdf_.back() == 1.0 >= edge
+    guide_[b] = k;
+  }
 }
 
-std::uint32_t ZipfSampler::sample(Pcg32& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::uint32_t>(it - cdf_.begin());
+std::uint32_t ZipfSampler::rank(double u) const {
+  // lower_bound is monotone in u, so its answer for u lies between its
+  // answers for the bucket's edges.
+  const auto b = static_cast<std::size_t>(u * static_cast<double>(guide_.size() - 1));
+  const auto first = cdf_.begin() + guide_[b];
+  const auto last = cdf_.begin() + guide_[b + 1];
+  return static_cast<std::uint32_t>(std::lower_bound(first, last, u) - cdf_.begin());
 }
 
 double ZipfSampler::probability(std::uint32_t k) const {

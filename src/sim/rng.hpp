@@ -87,12 +87,24 @@ class Pcg32 {
 /// granularity of the uniform draw. Rank 0 is reachable (u = 0 maps to
 /// it) and rank n-1 is reachable (cdf_.back() is pinned to 1.0, and u
 /// never reaches 1.0, so lower_bound never runs off the end).
+///
+/// A guide table splits [0, 1) into a power-of-two number of equal buckets
+/// (at most 2^16, 256 KB) and holds, per bucket edge b/B, the first rank
+/// whose CDF value is >= b/B; a draw binary-searches only the CDF range
+/// between its bucket's two edges, which contains lower_bound's answer.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint32_t n, double s);
-  std::uint32_t sample(Pcg32& rng) const;
+  std::uint32_t sample(Pcg32& rng) const { return rank(rng.uniform()); }
+
+  /// The first rank whose CDF value is >= u, for u in [0, 1) — what
+  /// std::lower_bound over the whole CDF returns.
+  std::uint32_t rank(double u) const;
 
   std::uint32_t domain() const { return static_cast<std::uint32_t>(cdf_.size()); }
+
+  /// The inversion table: cdf()[k] is the probability of ranks <= k.
+  const std::vector<double>& cdf() const { return cdf_; }
 
   /// The sampler's own probability mass for rank k (the CDF increment) —
   /// what a frequency test should compare observed counts against. Within
@@ -101,6 +113,7 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  // bucket edges; guide_.size() - 1 buckets
 };
 
 }  // namespace causim::sim

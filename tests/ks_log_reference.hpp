@@ -6,12 +6,17 @@
 // drives it and the flat KsLog with the same operations and requires
 // identical entries and bytes after every step. It panics on malformed
 // input (add() checks the universe), so feed it only well-formed bytes.
+//
+// Below it are Opt-Track's receive paths as separate passes over MapKsLog —
+// the composition KsLog::decode_applied and KsLog::merge_and_clean fold
+// into one walk each.
 #pragma once
 
 #include <iterator>
 #include <map>
 #include <vector>
 
+#include "causal/protocol.hpp"
 #include "common/dest_set.hpp"
 #include "common/ids.hpp"
 #include "common/panic.hpp"
@@ -161,5 +166,44 @@ class MapKsLog {
   SiteId n_;
   std::map<WriteId, DestSet> entries_;
 };
+
+/// An SM's receipt, pass by pass: the LastWriteOn log apply() installs for
+/// the SM's write `w`, multicast to `dests`, at site `self`. (The
+/// activation predicate is piggyback.first_unapplied(self, Apply).)
+inline MapKsLog sm_apply_multi_pass(const MapKsLog& piggyback, const WriteId& w,
+                                    const DestSet& dests, SiteId self,
+                                    const ProtocolOptions& options) {
+  MapKsLog deps = piggyback;
+  if (options.prune_on_apply) deps.prune_dests(dests);
+  DestSet remaining = dests;
+  remaining.erase(self);
+  deps.add(w, remaining);
+  if (options.prune_program_order) deps.prune_by_program_order();
+  if (options.purge_markers) deps.purge();
+  return deps;
+}
+
+/// A read's merge into the site's own log, pass by pass: MERGE, then
+/// prune_applied, program order and purge. Returns the merged size.
+inline std::size_t merge_read_multi_pass(MapKsLog& log, const MapKsLog& incoming, SiteId self,
+                                         const std::vector<WriteClock>& applied,
+                                         const ProtocolOptions& options) {
+  log.merge(incoming);
+  const std::size_t merged = log.size();
+  log.prune_applied(self, applied);
+  if (options.prune_program_order) log.prune_by_program_order();
+  if (options.purge_markers) log.purge();
+  return merged;
+}
+
+/// A local write's pass over the writer's own log after piggybacking it.
+inline void local_write_multi_pass(MapKsLog& log, const WriteId& w, const DestSet& dests,
+                                   SiteId self, const ProtocolOptions& options) {
+  if (options.prune_on_send) log.prune_dests(dests);
+  DestSet remaining = dests;
+  remaining.erase(self);
+  log.add(w, remaining);
+  if (options.purge_markers) log.purge();
+}
 
 }  // namespace causim::causal::reference

@@ -6,10 +6,14 @@
 // count while a flag is up — no malloc hooks, no sampling, an exact count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 
+#include "causal/opt_track.hpp"
+#include "dsm/cluster.hpp"
 #include "dsm/envelope.hpp"
 #include "net/batching_transport.hpp"
 #include "net/reliable_channel.hpp"
@@ -19,6 +23,7 @@
 #include "serial/writer.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
+#include "workload/schedule.hpp"
 
 namespace {
 
@@ -281,6 +286,70 @@ TEST(BufferPool, BatchedReliableStackMissesStayFlatAcrossLongRun) {
   EXPECT_GT(batching.frames_sent(), 0u);
   // 50 messages per round at a 10-message threshold: real coalescing.
   EXPECT_LT(batching.frames_sent(), batching.messages_batched());
+}
+
+TEST(SmReceipt, OptTrackSteadyStateAllocatesAtMostTwoBlocks) {
+  // One SM receipt at the paper's point (shrunk to n = 10): the piggyback
+  // is read in place from the frame and decoded straight into the
+  // LastWriteOn log, built in the buffer of the log the previous apply
+  // replaced; the pending update is the one new block. The receiver has
+  // applied every write the piggyback names, so each SM is applied on
+  // arrival.
+  dsm::ClusterConfig config;
+  config.sites = 10;
+  config.replication = 3;
+  config.record_history = false;
+  workload::WorkloadParams wl;
+  wl.variables = config.variables;
+  wl.ops_per_site = 60;
+  dsm::Cluster cluster(config);
+  cluster.execute(workload::generate_schedule(config.sites, wl));
+
+  constexpr SiteId kSender = 0;
+  VarId var = 0;
+  while (cluster.placement().replicas(var).count() < 2) ++var;
+  SiteId receiver = 0;
+  while (receiver == kSender || !cluster.placement().replicated_at(var, receiver)) ++receiver;
+  const auto& sender =
+      dynamic_cast<const causal::OptTrack&>(cluster.site(kSender).protocol());
+  ByteWriter meta;
+  sender.log().serialize(meta);
+  ASSERT_GT(sender.log().size(), 10u);
+  BufferPool& pool = cluster.stack().buffer_pool();
+
+  WriteClock clock = 1u << 20;
+  const auto receive = [&] {
+    dsm::Envelope env;
+    env.kind = MessageKind::kSM;
+    env.sender = kSender;
+    env.var = var;
+    env.write = WriteId{kSender, ++clock};
+    env.meta = meta.bytes();
+    net::Packet packet{kSender, receiver, 0, env.encode(ClockWidth::k4Bytes)};
+    g_allocations.store(0);
+    g_counting.store(true);
+    cluster.site(receiver).on_packet(std::move(packet));
+    g_counting.store(false);
+    // Take the recycled frame back out, so the pool's free list does not
+    // grow across the loop.
+    (void)pool.acquire();
+    return g_allocations.load();
+  };
+
+  for (int i = 0; i < 16; ++i) receive();  // warm-up
+  std::uint64_t total = 0;
+  std::uint64_t most = 0;
+  constexpr int kReceipts = 200;
+  for (int i = 0; i < kReceipts; ++i) {
+    const std::uint64_t n = receive();
+    total += n;
+    most = std::max(most, n);
+  }
+  EXPECT_EQ(cluster.site(receiver).pending_updates(), 0u);
+  // At most one more now and then: the pending queue's deque may take a
+  // fresh chunk.
+  EXPECT_LE(total, 2u * kReceipts);
+  EXPECT_LE(most, 2u);
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ class EagerProtocol final : public causal::Protocol {
   }
   // The injected fault: apply updates the moment they arrive.
   bool ready(const causal::PendingUpdate&) const override { return true; }
-  void apply(const causal::PendingUpdate& u) override {
+  void apply(causal::PendingUpdate& u) override {
     // Bypass the inner protocol's own readiness CHECK by only updating the
     // pieces the runtime needs; the simplest faithful "broken server" is to
     // apply through the inner protocol only when it happens to be ready,

@@ -160,6 +160,40 @@ TEST(KsLog, SerializeRoundTripAndExactSize) {
   }
 }
 
+TEST(KsLog, SerializedBytesArePinned) {
+  // The wire bytes are the paper's metric: a golden vector per clock width.
+  KsLog log(kN);
+  log.add({1, 5}, dests({2, 3}));
+  log.add({4, 1}, dests({}));
+  log.add({7, 0x01020304}, dests({0, 7}));
+  const serial::Bytes narrow = {
+      8, 0, 3, 0,                          // universe, entry count
+      1, 0, 5, 0, 0, 0,                    // ⟨1, 5⟩
+      8, 0, 2, 0, 2, 0, 3, 0,              // {2, 3}
+      4, 0, 1, 0, 0, 0,                    // ⟨4, 1⟩
+      8, 0, 0, 0,                          // {}
+      7, 0, 4, 3, 2, 1,                    // ⟨7, 0x01020304⟩
+      8, 0, 2, 0, 0, 0, 7, 0};             // {0, 7}
+  const serial::Bytes wide = {
+      8, 0, 3, 0,
+      1, 0, 5, 0, 0, 0, 0, 0, 0, 0,
+      8, 0, 2, 0, 2, 0, 3, 0,
+      4, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+      8, 0, 0, 0,
+      7, 0, 4, 3, 2, 1, 0, 0, 0, 0,
+      8, 0, 2, 0, 0, 0, 7, 0};
+  for (const auto& [cw, golden] : {std::pair{serial::ClockWidth::k4Bytes, narrow},
+                                   std::pair{serial::ClockWidth::k8Bytes, wide}}) {
+    serial::ByteWriter w(cw);
+    w.put_u8(0xEE);  // appends after what the writer already holds
+    log.serialize(w);
+    serial::Bytes expected = golden;
+    expected.insert(expected.begin(), 0xEE);
+    EXPECT_EQ(w.bytes(), expected);
+    EXPECT_EQ(log.wire_bytes(cw), golden.size());
+  }
+}
+
 TEST(KsLog, ForEachIteratesInWriterClockOrder) {
   KsLog log(kN);
   log.add({2, 1}, dests({}));
@@ -197,6 +231,63 @@ TEST(KsLog, DeserializeRejectsMalformedEntries) {
     EXPECT_FALSE(r.ok()) << c.what;
     EXPECT_EQ(log.size(), 1u) << c.what;
   }
+}
+
+/// An SM receipt of `bytes` at site 3 (dests {3, 5}, all rules on), with
+/// every write applied there; true if the decode was accepted, which then
+/// must have produced a log sorted by id.
+bool decode_applied_accepts(const serial::Bytes& bytes, serial::ClockWidth cw, SiteId n) {
+  serial::ByteReader r(bytes, cw);
+  const DestSet sm_dests(n, {3, 5});
+  const std::vector<WriteClock> applied(n, ~WriteClock{0});
+  std::vector<WriteId> waits_on;
+  const KsLog log = KsLog::decode_applied(r, {WriteId{2, 40}, sm_dests, 3, applied}, {}, waits_on, KsLog());
+  if (!r.ok()) return false;
+  std::vector<WriteId> ids;
+  log.for_each([&](const WriteId& id, const DestSet&) { ids.push_back(id); });
+  EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) ==
+              ids.end());
+  EXPECT_TRUE(waits_on.empty());
+  return true;
+}
+
+TEST(KsLog, DecodeAppliedRejectsWhatDeserializeRejects) {
+  struct Case {
+    const char* what;
+    WriteId second;
+    SiteId second_universe;
+  };
+  for (const Case& c : {Case{"out of order", {1, 2}, kN},
+                        Case{"duplicate id", {2, 3}, kN},
+                        Case{"universe mismatch", {3, 1}, kN + 1},
+                        Case{"writer outside the universe", {kN, 1}, kN}}) {
+    serial::ByteWriter w;
+    w.put_u16(kN);
+    w.put_u16(2);
+    w.put_write_id({2, 3});
+    w.put_dest_set(dests({4}));
+    w.put_write_id(c.second);
+    w.put_dest_set(DestSet(c.second_universe, {1}));
+    EXPECT_FALSE(decode_applied_accepts(w.bytes(), serial::ClockWidth::k4Bytes, kN)) << c.what;
+  }
+  // A log of another universe than the SM's destination set.
+  serial::ByteWriter foreign;
+  KsLog(kN + 1).serialize(foreign);
+  EXPECT_FALSE(decode_applied_accepts(foreign.bytes(), serial::ClockWidth::k4Bytes, kN));
+  // A count beyond the remaining bytes.
+  serial::ByteWriter overcount;
+  overcount.put_u16(kN);
+  overcount.put_u16(1000);
+  EXPECT_FALSE(decode_applied_accepts(overcount.bytes(), serial::ClockWidth::k4Bytes, kN));
+  // A member outside the universe.
+  serial::ByteWriter member;
+  member.put_u16(kN);
+  member.put_u16(1);
+  member.put_write_id({2, 3});
+  member.put_u16(kN);
+  member.put_u16(1);
+  member.put_u16(kN);
+  EXPECT_FALSE(decode_applied_accepts(member.bytes(), serial::ClockWidth::k4Bytes, kN));
 }
 
 /// Decodes `bytes` as a KS log. A rejected decode must latch the reader's
@@ -246,12 +337,15 @@ TEST(KsLogFuzz, TruncationAndBitFlipsNeverCrash) {
       serial::ByteWriter w(cw);
       log.serialize(w);
       const serial::Bytes& bytes = w.bytes();
+      const SiteId n = log.universe_size();
       ASSERT_TRUE(decode_is_well_formed(bytes, cw));
+      ASSERT_TRUE(decode_applied_accepts(bytes, cw, n));
       // Every strict prefix is short of the entries its count promises.
       for (std::size_t len = 0; len < bytes.size(); ++len) {
         const serial::Bytes head(bytes.begin(),
                                  bytes.begin() + static_cast<std::ptrdiff_t>(len));
         EXPECT_FALSE(decode_is_well_formed(head, cw)) << "prefix of " << len;
+        EXPECT_FALSE(decode_applied_accepts(head, cw, n)) << "prefix of " << len;
       }
       // Random byte flips, 1–4 at a time.
       for (int trial = 0; trial < 500; ++trial) {
@@ -263,6 +357,7 @@ TEST(KsLogFuzz, TruncationAndBitFlipsNeverCrash) {
           mutated[pos] = static_cast<std::uint8_t>(rng.next_u32());
         }
         (void)decode_is_well_formed(mutated, cw);
+        (void)decode_applied_accepts(mutated, cw, n);
       }
     }
   }

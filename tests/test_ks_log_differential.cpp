@@ -2,7 +2,10 @@
 // the same rules (ks_log_reference.hpp). Both are driven with one random
 // sequence of operations; after every step their entries, serialized bytes
 // and wire sizes must be identical. Universes of 10 and 40 sites keep
-// every dest set inline, 130 spills it to the heap.
+// every dest set inline, 130 spills it to the heap. The one-walk receive
+// paths (decode_applied, merge_and_clean) are checked against the
+// multi-pass compositions in ks_log_reference.hpp under every combination
+// of Opt-Track's four pruning toggles.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -206,6 +209,81 @@ TEST_P(KsLogDifferential, RandomOperationSequencesMatchTheMapModel) {
         ASSERT_EQ(*blocker, expected);
       }
       ASSERT_NO_FATAL_FAILURE(expect_same(flat.naming(s), ref.naming(s), "naming"));
+    }
+  }
+}
+
+/// The first witness still unapplied under `applied`, as OptTrack reads it.
+WriteId first_waiting(const std::vector<WriteId>& waits_on,
+                      const std::vector<WriteClock>& applied) {
+  for (const WriteId& id : waits_on) {
+    if (applied[id.writer] < id.clock) return id;
+  }
+  return WriteId{};
+}
+
+TEST_P(KsLogDifferential, FusedWalksMatchTheMultiPassComposition) {
+  for (unsigned toggles = 0; toggles < 16; ++toggles) {
+    ProtocolOptions options;
+    options.prune_on_send = (toggles & 1) != 0;
+    options.prune_on_apply = (toggles & 2) != 0;
+    options.purge_markers = (toggles & 4) != 0;
+    options.prune_program_order = (toggles & 8) != 0;
+    const KsLog::Rules rules{options.prune_on_apply, options.prune_program_order,
+                             options.purge_markers};
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      rng_ = sim::Pcg32(seed * 100 + toggles * 7 + n());
+      const std::string where = "toggles " + std::to_string(toggles) + " seed " +
+                                std::to_string(seed);
+      // The sender's log: random history, then local writes that prune on
+      // send (or not) as the toggles say.
+      auto [sender, sender_ref] = random_pair(static_cast<int>(rng_.uniform_int(0, 40)));
+      for (int i = 0; i < 4; ++i) {
+        const SiteId writer = site();
+        const WriteId w{writer, static_cast<WriteClock>(rng_.uniform_int(20, 30))};
+        DestSet dests = dest_set();
+        if (options.prune_on_send) sender.prune_dests(dests);
+        DestSet remaining = dests;
+        remaining.erase(writer);
+        sender.add(w, remaining);
+        if (options.purge_markers) sender.purge();
+        reference::local_write_multi_pass(sender_ref, w, dests, writer, options);
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same(sender, sender_ref, "local writes, " + where));
+
+      for (const auto cw : {serial::ClockWidth::k4Bytes, serial::ClockWidth::k8Bytes}) {
+        // Receipt at a replica `self` of an SM whose write may collide with
+        // a piggybacked id (intersect) or trail its writer (obsolete).
+        const SiteId self = site();
+        DestSet dests = dest_set();
+        dests.insert(self);
+        const WriteId w = write_id();
+        const std::vector<WriteClock> applied = this->applied();
+        const serial::Bytes bytes = bytes_of(sender, cw);
+        serial::ByteReader r(bytes, cw);
+        std::vector<WriteId> waits_on;
+        const KsLog deps = KsLog::decode_applied(r, {w, dests, self, applied}, rules, waits_on, KsLog());
+        ASSERT_TRUE(r.ok() && r.done()) << where;
+        const MapKsLog deps_ref =
+            reference::sm_apply_multi_pass(sender_ref, w, dests, self, options);
+        ASSERT_NO_FATAL_FAILURE(expect_same(deps, deps_ref, "decode_applied, " + where));
+
+        // The witness, at decode and after more applies (Apply only grows).
+        std::vector<WriteClock> later = applied;
+        for (WriteClock& c : later) c += static_cast<WriteClock>(rng_.uniform_int(0, 6));
+        ASSERT_EQ(first_waiting(waits_on, applied), sender_ref.first_unapplied(self, applied))
+            << where;
+        ASSERT_EQ(first_waiting(waits_on, later), sender_ref.first_unapplied(self, later))
+            << where;
+
+        // A read of the variable merges the new LastWriteOn log.
+        auto [local, local_ref] = random_pair(static_cast<int>(rng_.uniform_int(0, 40)));
+        const std::size_t merged = local.merge_and_clean(deps, self, later, rules);
+        const std::size_t merged_ref =
+            reference::merge_read_multi_pass(local_ref, deps_ref, self, later, options);
+        ASSERT_EQ(merged, merged_ref) << where;
+        ASSERT_NO_FATAL_FAILURE(expect_same(local, local_ref, "merge_and_clean, " + where));
+      }
     }
   }
 }

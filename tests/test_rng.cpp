@@ -1,8 +1,10 @@
 // Unit tests for the seeded PRNG and distribution samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -147,6 +149,37 @@ TEST(Zipf, FrequencyRatiosFollowTheHarmonicLaw) {
         static_cast<double>(counts[0]) / static_cast<double>(counts[k]);
     const double analytic = std::pow(static_cast<double>(k + 1), s);
     EXPECT_NEAR(measured / analytic, 1.0, 0.15) << "rank ratio 0:" << k;
+  }
+}
+
+TEST(Zipf, GuideTableDrawsMatchAFullBinarySearch) {
+  // The rank a draw returns must be std::lower_bound's over the whole CDF
+  // for every u — seeded schedules depend on it. Probed with random draws,
+  // every bucket edge k / 2^16 (the edges of every table size) and each
+  // CDF value, each also one ulp either side.
+  const auto expect_rank = [](const ZipfSampler& zipf, double u) {
+    if (!(u >= 0.0 && u < 1.0)) return;
+    const std::vector<double>& cdf = zipf.cdf();
+    const auto expected =
+        static_cast<std::uint32_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    ASSERT_EQ(zipf.rank(u), expected) << "u = " << u;
+  };
+  const auto around = [&](const ZipfSampler& zipf, double u) {
+    expect_rank(zipf, u);
+    expect_rank(zipf, std::nextafter(u, 0.0));
+    expect_rank(zipf, std::nextafter(u, 1.0));
+  };
+  for (const std::uint32_t n : {1u, 2u, 100u, 1000000u}) {
+    for (const double s : {0.0, 0.99, 2.0}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", s = " + std::to_string(s));
+      const ZipfSampler zipf(n, s);
+      Pcg32 rng(n + static_cast<std::uint64_t>(s * 100));
+      for (int i = 0; i < 1000000; ++i) ASSERT_NO_FATAL_FAILURE(expect_rank(zipf, rng.uniform()));
+      for (std::uint32_t k = 0; k <= (1u << 16); ++k) {
+        ASSERT_NO_FATAL_FAILURE(around(zipf, static_cast<double>(k) / (1u << 16)));
+      }
+      for (const double c : zipf.cdf()) ASSERT_NO_FATAL_FAILURE(around(zipf, c));
+    }
   }
 }
 

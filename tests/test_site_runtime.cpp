@@ -254,5 +254,34 @@ TEST_F(PartialRuntimeTest, FetchOfUnwrittenVariableReturnsBottom) {
   EXPECT_TRUE(completed);
 }
 
+TEST_F(PartialRuntimeTest, CorruptSmOrRmMetaDataPanics) {
+  // The protocol reads the meta-data straight from the frame; a log header
+  // promising an entry the frame does not hold is still a corrupt frame.
+  serial::ByteWriter meta;
+  meta.put_u16(kN);
+  meta.put_u16(1);
+  const SiteId replica = placement_.replicas(var_).to_vector().front();
+  Envelope sm;
+  sm.kind = MessageKind::kSM;
+  sm.sender = replica == 0 ? 1 : 0;
+  sm.var = var_;
+  sm.write = WriteId{sm.sender, 1};
+  sm.meta = meta.bytes();
+  EXPECT_DEATH(sites_[replica]->on_packet(net::Packet{
+                   sm.sender, replica, 0, sm.encode(serial::ClockWidth::k4Bytes)}),
+               "corrupt SM meta-data");
+
+  sites_[reader_]->read(var_, {});  // fetch 1 outstanding
+  Envelope rm;
+  rm.kind = MessageKind::kRM;
+  rm.sender = placement_.fetch_site(var_, reader_);
+  rm.var = var_;
+  rm.fetch_seq = 1;
+  rm.meta = meta.bytes();
+  EXPECT_DEATH(sites_[reader_]->on_packet(net::Packet{
+                   rm.sender, reader_, 0, rm.encode(serial::ClockWidth::k4Bytes)}),
+               "corrupt RM meta-data");
+}
+
 }  // namespace
 }  // namespace causim::dsm
