@@ -112,46 +112,133 @@ void BM_KsLogSerializeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_KsLogSerializeRoundTrip)->Arg(5)->Arg(40);
 
-// One SM receipt on Opt-Track: decode the piggyback, test the activation
-// predicate, apply. The piggyback is a real log: the sender's after a
-// short run at the paper's point (n sites, p = 0.3n, q = 100, w_rate 0.5),
-// ~2.7n entries; the receiver is a replica of the SM's variable that has
-// applied every write the log names, so the predicate holds.
-void BM_OptTrackSmReceive(benchmark::State& state) {
-  dsm::ClusterConfig config;
-  config.sites = static_cast<SiteId>(state.range(0));
-  config.replication = static_cast<SiteId>(std::lround(0.3 * config.sites));
-  config.record_history = false;
-  workload::WorkloadParams wl;
-  wl.variables = config.variables;
-  wl.ops_per_site = 60;
-  dsm::Cluster cluster(config);
-  cluster.execute(workload::generate_schedule(config.sites, wl));
+// Opt-Track after a short run at the paper's point (n sites, p = 0.3n,
+// q = 100, w_rate 0.5). The sender's log, ~2.7n entries, is the piggyback
+// of each SM it sends on `var`; the receiver is a replica of `var` that has
+// applied every write the log names, so the predicate holds. The reader
+// holds no replica of `var`, so it reads `var` through an RM.
+struct PaperPoint {
+  static constexpr SiteId kSender = 0;
 
-  constexpr SiteId kSender = 0;
-  VarId var = 0;
-  while (cluster.placement().replicas(var).count() < 2) ++var;
-  const DestSet& dests = cluster.placement().replicas(var);
-  SiteId receiver = 0;
-  while (receiver == kSender || !dests.contains(receiver)) ++receiver;
-  const auto& sender = dynamic_cast<const causal::OptTrack&>(cluster.site(kSender).protocol());
-  serial::ByteWriter meta;
-  sender.log().serialize(meta);
-  causal::Protocol& protocol = cluster.site(receiver).protocol();
-
-  WriteClock clock = 1u << 20;  // above every clock the log holds
-  for (auto _ : state) {
-    serial::ByteReader r(meta.bytes());
-    auto update = protocol.decode_sm(
-        causal::SmEnvelope{kSender, var, Value{1, 0}, WriteId{kSender, ++clock}}, dests, r);
-    if (!protocol.ready(*update)) state.SkipWithError("activation predicate false");
-    protocol.apply(*update);
-    benchmark::DoNotOptimize(update);
+  explicit PaperPoint(SiteId n) : cluster(config(n)) {
+    workload::WorkloadParams wl;
+    wl.variables = cluster.config().variables;
+    wl.ops_per_site = 60;
+    cluster.execute(workload::generate_schedule(n, wl));
+    while (cluster.placement().replicas(var).count() < 2) ++var;
+    const DestSet& dests = cluster.placement().replicas(var);
+    while (receiver == kSender || !dests.contains(receiver)) ++receiver;
+    while (dests.contains(reader)) ++reader;
+    sender().log().serialize(meta);
   }
-  state.counters["log_entries"] = static_cast<double>(sender.log().size());
-  state.counters["meta_bytes"] = static_cast<double>(meta.size());
+
+  static dsm::ClusterConfig config(SiteId n) {
+    dsm::ClusterConfig c;
+    c.sites = n;
+    c.replication = static_cast<SiteId>(std::lround(0.3 * n));
+    c.record_history = false;
+    return c;
+  }
+
+  const causal::OptTrack& sender() const {
+    return dynamic_cast<const causal::OptTrack&>(cluster.site(kSender).protocol());
+  }
+  causal::Protocol& protocol(SiteId site) { return cluster.site(site).protocol(); }
+
+  /// One SM receipt at the receiver, applied; false if the predicate was false.
+  bool receive_sm() {
+    causal::Protocol& p = protocol(receiver);
+    serial::ByteReader r(meta.bytes());
+    auto update = p.decode_sm(
+        causal::SmEnvelope{kSender, var, Value{1, 0}, WriteId{kSender, ++clock}},
+        cluster.placement().replicas(var), r);
+    if (!p.ready(*update)) return false;
+    p.apply(*update);
+    benchmark::DoNotOptimize(update);
+    return true;
+  }
+
+  void set_counters(benchmark::State& state) const {
+    state.counters["log_entries"] = static_cast<double>(sender().log().size());
+    state.counters["meta_bytes"] = static_cast<double>(meta.size());
+  }
+
+  dsm::Cluster cluster;
+  VarId var = 0;
+  SiteId receiver = 0;
+  SiteId reader = 0;
+  serial::ByteWriter meta;
+  WriteClock clock = 1u << 20;  // above every clock the log holds
+};
+
+// One SM receipt on Opt-Track: scan the piggyback, test the activation
+// predicate, apply (which installs the bytes as LastWriteOn).
+void BM_OptTrackSmReceive(benchmark::State& state) {
+  PaperPoint point(static_cast<SiteId>(state.range(0)));
+  for (auto _ : state) {
+    if (!point.receive_sm()) {
+      state.SkipWithError("activation predicate false");
+      break;
+    }
+  }
+  point.set_counters(state);
 }
 BENCHMARK(BM_OptTrackSmReceive)->Arg(8)->Arg(40);
+
+// The same receipt, then the first local read of the variable: the read
+// decodes the installed log and merges it into the receiver's log, so this
+// minus BM_OptTrackSmReceive is the decode deferred to first use plus one
+// merge (BM_OptTrackLocalRead).
+void BM_OptTrackSmReceiveThenRead(benchmark::State& state) {
+  PaperPoint point(static_cast<SiteId>(state.range(0)));
+  causal::Protocol& receiver = point.protocol(point.receiver);
+  for (auto _ : state) {
+    if (!point.receive_sm()) {
+      state.SkipWithError("activation predicate false");
+      break;
+    }
+    receiver.local_read(point.var);
+  }
+  point.set_counters(state);
+}
+BENCHMARK(BM_OptTrackSmReceiveThenRead)->Arg(8)->Arg(40);
+
+// A local read of a decoded LastWriteOn log: one merge into the site's log.
+void BM_OptTrackLocalRead(benchmark::State& state) {
+  PaperPoint point(static_cast<SiteId>(state.range(0)));
+  if (!point.receive_sm()) state.SkipWithError("activation predicate false");
+  causal::Protocol& receiver = point.protocol(point.receiver);
+  receiver.local_read(point.var);  // the first use decodes the log
+  for (auto _ : state) {
+    receiver.local_read(point.var);
+    benchmark::ClobberMemory();
+  }
+  point.set_counters(state);
+}
+BENCHMARK(BM_OptTrackLocalRead)->Arg(8)->Arg(40);
+
+// A remote read's RM at a reader of the same LastWriteOn log: decode the
+// served log, test it against the reader's Apply, merge it. Everything
+// the fetch-completion path around the protocol adds is outside this.
+void BM_OptTrackRmReceive(benchmark::State& state) {
+  PaperPoint point(static_cast<SiteId>(state.range(0)));
+  if (!point.receive_sm()) state.SkipWithError("activation predicate false");
+  serial::ByteWriter rm;
+  point.protocol(point.receiver).remote_return_meta(point.var, rm);
+  causal::Protocol& reader = point.protocol(point.reader);
+  for (auto _ : state) {
+    serial::ByteReader r(rm.bytes());
+    const auto ret = reader.decode_remote_return(r);
+    if (!reader.return_ready(*ret)) {
+      state.SkipWithError("remote return not ready");
+      break;
+    }
+    reader.absorb_remote_return(point.var, *ret);
+    benchmark::DoNotOptimize(ret);
+  }
+  state.counters["meta_bytes"] = static_cast<double>(rm.size());
+}
+BENCHMARK(BM_OptTrackRmReceive)->Arg(8)->Arg(40);
 
 void BM_EnvelopeRoundTrip(benchmark::State& state) {
   dsm::Envelope env;

@@ -30,6 +30,16 @@ std::uint16_t read_count(serial::ByteReader& r) {
   return count;
 }
 
+/// Reads an SM piggyback's header: the entry count, or 0 with the reader's
+/// error latched. A universe other than dests(m)'s is malformed: the set
+/// operations of decode_applied need dests(m)'s.
+std::uint16_t read_receipt_header(serial::ByteReader& r, const KsLog::Receipt& m) {
+  const SiteId n = r.get_u16();
+  const std::uint16_t count = read_count(r);
+  if (r.ok() && n != m.dests.universe_size()) r.fail();
+  return r.ok() ? count : 0;
+}
+
 /// Walks a serialized log's entries through the serial load_* decoders,
 /// checking each against the log's universe and its predecessor's id. It
 /// works on a copy of the reader's cursor, which the compiler can keep in
@@ -55,6 +65,14 @@ class EntryReader {
   bool dests(DestSet& d) {
     p_ = serial::load_dest_set(p_, end_, d);
     return p_ != nullptr && d.universe_size() == n_;
+  }
+
+  /// The entry's dest list, checked as dests() checks it but not built:
+  /// `names` says whether it holds `s`.
+  bool dests_naming(SiteId s, bool& names) {
+    SiteId universe = 0;
+    p_ = serial::scan_dest_set(p_, end_, s, universe, names);
+    return p_ != nullptr && universe == n_;
   }
 
   /// Moves `r` past the entries read, or latches its error.
@@ -261,15 +279,30 @@ KsLog KsLog::deserialize(serial::ByteReader& r) {
   return log;
 }
 
+void KsLog::scan_witnesses(serial::ByteReader& r, const Receipt& m,
+                           const std::vector<WriteClock>& applied,
+                           std::vector<WriteId>& waits_on) {
+  const std::uint16_t count = read_receipt_header(r, m);
+  if (!r.ok()) return;
+  EntryReader in(r, m.dests.universe_size());
+  WriteId id;
+  bool names_self = false;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    if (!in.id(id) || !in.dests_naming(m.self, names_self)) {
+      in.finish(r, false);
+      return;
+    }
+    if (names_self && applied[id.writer] < id.clock) waits_on.push_back(id);
+  }
+  in.finish(r, true);
+}
+
 KsLog KsLog::decode_applied(serial::ByteReader& r, const Receipt& m, Rules rules,
-                            std::vector<WriteId>& waits_on, KsLog storage) {
+                            KsLog storage) {
   KsLog log = std::move(storage);
   log.entries_.clear();
-  log.n_ = r.get_u16();
-  const std::uint16_t count = read_count(r);
-  // A foreign universe is malformed here: the set operations below need
-  // dests(m)'s.
-  if (r.ok() && log.n_ != m.dests.universe_size()) r.fail();
+  log.n_ = m.dests.universe_size();
+  const std::uint16_t count = read_receipt_header(r, m);
   if (!r.ok()) return log;
   // The write's own entry: condition (1), it is applied here.
   DestSet own = m.dests;
@@ -297,7 +330,6 @@ KsLog KsLog::decode_applied(serial::ByteReader& r, const Receipt& m, Rules rules
       in.finish(r, false);
       return log;
     }
-    if (dests.contains(m.self) && m.applied[id.writer] < id.clock) waits_on.push_back(id);
     if (rules.prune_on_apply) dests -= m.dests;
     if (is_own) dests &= own;
   }

@@ -20,11 +20,13 @@
 // one log per variable it holds (the LastWriteOn logs), so stored logs
 // carry no geometric slack: add() grows the capacity by one entry.
 //
-// Opt-Track's receive paths cost one walk per message over the log they
-// build — an SM decode (decode_applied) or a read's merge
-// (merge_and_clean) — plus one backward pass over the just-built log for
-// the rules that look along a writer's entries (program order, purge),
-// which compacts it at most once.
+// Opt-Track's receive paths cost one walk per message. An SM's receipt is
+// a scan that builds nothing (scan_witnesses): it validates the piggyback
+// and keeps the writes the activation predicate waits on. The log the SM
+// leaves (decode_applied) and a read's merge (merge_and_clean) are one walk
+// over the log they build plus one backward pass for the rules that look
+// along a writer's entries (program order, purge), which compacts it at
+// most once.
 #pragma once
 
 #include <vector>
@@ -50,12 +52,11 @@ class KsLog {
     bool purge = true;
   };
 
-  /// An SM as its receiver applies it (see decode_applied).
+  /// An SM at its receiver (see scan_witnesses, decode_applied).
   struct Receipt {
-    WriteId write;                           // the SM's write
-    const DestSet& dests;                    // dests(m), the receiver included
-    SiteId self;                             // the receiver
-    const std::vector<WriteClock>& applied;  // the receiver's Apply vector
+    WriteId write;         // the SM's write
+    const DestSet& dests;  // dests(m), the receiver included
+    SiteId self;           // the receiver
   };
 
   KsLog() = default;
@@ -63,6 +64,8 @@ class KsLog {
 
   SiteId universe_size() const { return n_; }
   std::size_t size() const { return entries_.size(); }
+  /// Entries the log's buffer has room for.
+  std::size_t capacity() const { return entries_.capacity(); }
   bool empty() const { return entries_.empty(); }
 
   bool contains(const WriteId& id) const { return find(id) != nullptr; }
@@ -157,20 +160,30 @@ class KsLog {
   /// entries decoded so far are returned.
   static KsLog deserialize(serial::ByteReader& r);
 
-  /// The receiver's side of an SM in one pass over its piggybacked log:
-  /// decodes it straight into the dependency log the SM's write leaves
-  /// here — the piggyback, pruned by dests(m) (rules.prune_on_apply), plus
-  /// the write's own entry with dests(m) ∖ {self} under add()'s rules —
-  /// then runs prune_by_program_order() and purge() as `rules` say in one
-  /// backward pass over the just-decoded entries. The
-  /// activation predicate reads the piggyback before any pruning: each
-  /// entry that names `self` for a write `applied` has not reached is
-  /// appended to `waits_on`, in (writer, clock) order. Malformed bytes are
-  /// rejected as deserialize() rejects them, and so is a log whose universe
-  /// is not dests(m)'s. The result is built in `storage`'s buffer (its
-  /// entries are dropped), so a caller can recycle a spent log's capacity.
+  /// The receiver's side of an SM at receipt: one pass over its
+  /// piggybacked log that builds no entry. Malformed bytes are rejected
+  /// exactly as decode_applied() rejects them (the reader latches !ok());
+  /// otherwise the reader moves past the log and each entry that names
+  /// `m.self` for a write `applied` has not reached is appended to
+  /// `waits_on`, in (writer, clock) order. Those are all the activation
+  /// predicate reads of the piggyback, and this is their only producer.
+  static void scan_witnesses(serial::ByteReader& r, const Receipt& m,
+                             const std::vector<WriteClock>& applied,
+                             std::vector<WriteId>& waits_on);
+
+  /// The dependency log an SM's write leaves at its receiver, in one pass
+  /// over the piggybacked log: the piggyback, pruned by dests(m)
+  /// (rules.prune_on_apply), plus the write's own entry with dests(m) ∖
+  /// {self} under add()'s rules, then prune_by_program_order() and purge()
+  /// as `rules` say in one backward pass over the just-decoded entries.
+  /// The result depends on the bytes, `m` and `rules` alone, so Opt-Track
+  /// keeps an applied SM's bytes and runs this only when the log is first
+  /// used. Malformed bytes are rejected as deserialize() rejects them, and
+  /// so is a log whose universe is not dests(m)'s. The result is built in
+  /// `storage`'s buffer (its entries are dropped), so a caller can recycle
+  /// a spent log's capacity.
   static KsLog decode_applied(serial::ByteReader& r, const Receipt& m, Rules rules,
-                              std::vector<WriteId>& waits_on, KsLog storage);
+                              KsLog storage);
 
   /// Exact serialized size: count (u16) + per entry WriteId + dest list.
   std::size_t wire_bytes(serial::ClockWidth cw) const;

@@ -35,7 +35,9 @@ WriteId OptTrack::local_write(VarId var, const Value& v, const DestSet& dests,
     apply_[self_] = clock_;
     // The dependency log of this write's value is the post-prune log plus
     // the write's own entry — i.e. exactly the current log.
-    last_write_on_[var] = log_;
+    LastWrite& slot = last_write_on_[var];
+    if (!slot.bytes.empty()) spare_bytes_ = std::exchange(slot.bytes, {});
+    slot.log = log_;
   }
   return w;
 }
@@ -43,20 +45,21 @@ WriteId OptTrack::local_write(VarId var, const Value& v, const DestSet& dests,
 void OptTrack::local_read(VarId var) {
   const auto it = last_write_on_.find(var);
   if (it == last_write_on_.end()) return;  // variable still ⊥
-  merge_read(it->second);
+  merge_read(materialize(it->second));
 }
 
 std::unique_ptr<PendingUpdate> OptTrack::decode_sm(SmEnvelope env, DestSet dests,
                                                    serial::ByteReader& meta) {
+  CAUSIM_CHECK(dests.universe_size() == n_, "SM destination set has wrong universe");
+  // The bytes are decoded later at this protocol's clock width.
+  CAUSIM_CHECK(meta.clock_width() == options_.clock_width, "SM meta-data clock width mismatch");
   auto p = std::make_unique<Pending>(env, std::move(dests));
-  // The dependency log to associate with the variable's new value, built
-  // during the decode. With prune_on_apply, condition (2) at the receiver:
-  // the applied message itself now carries the ordering obligation toward
-  // each of its destinations, so the piggybacked entries shed dests(m) —
-  // which includes this site, giving condition (1) as a special case.
-  p->deps = KsLog::decode_applied(meta, {env.write, p->dests(), self_, apply_}, rules(),
-                                  p->waits_on, std::move(spare_));
-  CAUSIM_CHECK(p->deps.universe_size() == n_, "SM log has wrong universe");
+  const std::uint8_t* piggyback = meta.cursor();
+  KsLog::scan_witnesses(meta, {env.write, p->dests(), self_}, apply_, p->waits_on);
+  if (meta.ok()) {
+    p->deps = std::exchange(spare_bytes_, {});
+    p->deps.assign(piggyback, meta.cursor());
+  }
   return p;
 }
 
@@ -91,14 +94,37 @@ void OptTrack::apply(PendingUpdate& u) {
   const WriteId w = p.env().write;
   CAUSIM_CHECK(apply_[w.writer] < w.clock, "per-writer applies out of order");
   apply_[w.writer] = w.clock;
-  // The replaced log's buffer is recycled by the next decode.
-  spare_ = std::exchange(last_write_on_[p.env().var], std::move(p.deps));
+  // The SM's bytes replace whichever form the slot held; that form's
+  // buffer is recycled.
+  LastWrite& slot = last_write_on_[p.env().var];
+  if (slot.bytes.empty()) {
+    spare_log_ = std::exchange(slot.log, KsLog());
+  } else {
+    spare_bytes_ = std::move(slot.bytes);
+  }
+  slot.bytes = std::move(p.deps);
+  slot.write = w;
+  slot.dests = p.dests();
+}
+
+const KsLog& OptTrack::materialize(const LastWrite& slot) const {
+  if (slot.bytes.empty()) return slot.log;
+  serial::ByteReader r(slot.bytes, options_.clock_width);
+  // With prune_on_apply, condition (2) at the receiver: the applied message
+  // itself now carries the ordering obligation toward each of its
+  // destinations, so the piggybacked entries shed dests(m) — which
+  // includes this site, giving condition (1) as a special case.
+  slot.log = KsLog::decode_applied(r, {slot.write, slot.dests, self_}, rules(),
+                                   std::move(spare_log_));
+  CAUSIM_CHECK(r.ok() && r.done(), "a LastWriteOn log accepted at receipt failed to decode");
+  spare_bytes_ = std::exchange(slot.bytes, {});
+  return slot.log;
 }
 
 void OptTrack::remote_return_meta(VarId var, serial::ByteWriter& out) const {
   const auto it = last_write_on_.find(var);
   if (it != last_write_on_.end()) {
-    it->second.serialize(out);
+    materialize(it->second).serialize(out);
   } else {
     KsLog(n_).serialize(out);  // variable still ⊥
   }
@@ -162,15 +188,21 @@ bool OptTrack::fetch_ready(const FetchGuard& guard) const {
 
 const KsLog* OptTrack::last_write_log(VarId var) const {
   const auto it = last_write_on_.find(var);
-  return it == last_write_on_.end() ? nullptr : &it->second;
+  return it == last_write_on_.end() ? nullptr : &materialize(it->second);
+}
+
+std::pair<std::size_t, std::size_t> OptTrack::last_write_buffers(VarId var) const {
+  const auto it = last_write_on_.find(var);
+  if (it == last_write_on_.end()) return {0, 0};
+  return {it->second.log.capacity(), it->second.bytes.capacity()};
 }
 
 std::size_t OptTrack::local_meta_bytes() const {
   std::size_t bytes = log_.wire_bytes(options_.clock_width);
   bytes += static_cast<std::size_t>(n_) * static_cast<std::size_t>(options_.clock_width);
-  for (const auto& [var, log] : last_write_on_) {
+  for (const auto& [var, slot] : last_write_on_) {
     (void)var;
-    bytes += log.wire_bytes(options_.clock_width);
+    bytes += materialize(slot).wire_bytes(options_.clock_width);
   }
   return bytes;
 }

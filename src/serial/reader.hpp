@@ -69,6 +69,29 @@ inline const std::uint8_t* load_dest_set(const std::uint8_t* p, const std::uint8
   return p;
 }
 
+/// Checks a dest set as load_dest_set does without building it: sets `n` to
+/// its universe and `has` to whether `s` is a member.
+inline const std::uint8_t* scan_dest_set(const std::uint8_t* p, const std::uint8_t* end,
+                                         SiteId s, SiteId& n, bool& has) {
+  if (end - p < 4) return nullptr;
+  n = static_cast<SiteId>(load_le(p, 2));
+  const auto count = static_cast<SiteId>(load_le(p + 2, 2));
+  p += 4;
+  if (count > n || static_cast<std::size_t>(end - p) < 2 * static_cast<std::size_t>(count)) {
+    return nullptr;
+  }
+  bool outside = false;
+  bool found = false;
+  for (SiteId i = 0; i < count; ++i, p += 2) {
+    const auto member = static_cast<SiteId>(load_le(p, 2));
+    outside |= member >= n;
+    found |= member == s;
+  }
+  if (outside) return nullptr;
+  has = found;
+  return p;
+}
+
 class ByteReader {
  public:
   ByteReader(const Bytes& buf, ClockWidth cw = ClockWidth::k4Bytes)

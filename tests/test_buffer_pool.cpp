@@ -290,11 +290,10 @@ TEST(BufferPool, BatchedReliableStackMissesStayFlatAcrossLongRun) {
 
 TEST(SmReceipt, OptTrackSteadyStateAllocatesAtMostTwoBlocks) {
   // One SM receipt at the paper's point (shrunk to n = 10): the piggyback
-  // is read in place from the frame and decoded straight into the
-  // LastWriteOn log, built in the buffer of the log the previous apply
-  // replaced; the pending update is the one new block. The receiver has
-  // applied every write the piggyback names, so each SM is applied on
-  // arrival.
+  // is scanned in place in the frame and its bytes are copied into a
+  // recycled buffer, the one that held the LastWriteOn bytes the previous
+  // apply replaced; the pending update is the one new block. The receiver has applied every write the
+  // piggyback names, so each SM is applied on arrival.
   dsm::ClusterConfig config;
   config.sites = 10;
   config.replication = 3;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/dest_set.hpp"
+#include "sim/rng.hpp"
 
 namespace causim {
 namespace {
@@ -81,6 +82,24 @@ TEST(DestSet, WireBytesTracksMembership) {
   EXPECT_EQ(d.wire_bytes(), 4u + 2 * 2);
   d.erase(1);
   EXPECT_EQ(d.wire_bytes(), 4u + 2);
+}
+
+TEST(DestSet, CountMatchesABitByBitCount) {
+  // Random sets of every density, on both sides of each word boundary and of
+  // the inline/heap boundary.
+  sim::Pcg32 rng(77);
+  for (const SiteId n : {1, 63, 64, 65, 127, 128, 129, 130, 200}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const double density = rng.uniform();
+      DestSet d(n);
+      for (SiteId s = 0; s < n; ++s) {
+        if (rng.bernoulli(density)) d.insert(s);
+      }
+      SiteId members = 0;
+      for (SiteId s = 0; s < n; ++s) members += d.contains(s) ? 1 : 0;
+      ASSERT_EQ(d.count(), members) << "n=" << n << " trial " << trial;
+    }
+  }
 }
 
 TEST(DestSet, EqualityRequiresSameUniverse) {

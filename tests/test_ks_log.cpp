@@ -233,21 +233,32 @@ TEST(KsLog, DeserializeRejectsMalformedEntries) {
   }
 }
 
-/// An SM receipt of `bytes` at site 3 (dests {3, 5}, all rules on), with
-/// every write applied there; true if the decode was accepted, which then
-/// must have produced a log sorted by id.
-bool decode_applied_accepts(const serial::Bytes& bytes, serial::ClockWidth cw, SiteId n) {
-  serial::ByteReader r(bytes, cw);
+/// An SM receipt of `bytes` at site 3 (dests {3, 5}, all rules on): the
+/// receipt's scan and the decode that materializes its log must accept the
+/// same inputs and stop at the same byte. True if both accepted; the decode
+/// must then have produced a log sorted by id, and the scan, at a site that
+/// has applied nothing, every piggybacked write that names site 3.
+bool receipt_accepts(const serial::Bytes& bytes, serial::ClockWidth cw, SiteId n) {
   const DestSet sm_dests(n, {3, 5});
-  const std::vector<WriteClock> applied(n, ~WriteClock{0});
+  const KsLog::Receipt m{WriteId{2, 40}, sm_dests, 3};
+  serial::ByteReader decode_reader(bytes, cw);
+  const KsLog log = KsLog::decode_applied(decode_reader, m, {}, KsLog());
+  serial::ByteReader scan_reader(bytes, cw);
   std::vector<WriteId> waits_on;
-  const KsLog log = KsLog::decode_applied(r, {WriteId{2, 40}, sm_dests, 3, applied}, {}, waits_on, KsLog());
-  if (!r.ok()) return false;
+  KsLog::scan_witnesses(scan_reader, m, std::vector<WriteClock>(n, 0), waits_on);
+  EXPECT_EQ(scan_reader.ok(), decode_reader.ok());
+  if (!scan_reader.ok() || !decode_reader.ok()) return false;
+  EXPECT_EQ(scan_reader.remaining(), decode_reader.remaining());
   std::vector<WriteId> ids;
   log.for_each([&](const WriteId& id, const DestSet&) { ids.push_back(id); });
   EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) ==
               ids.end());
-  EXPECT_TRUE(waits_on.empty());
+  serial::ByteReader r(bytes, cw);
+  std::vector<WriteId> naming_self;
+  KsLog::deserialize(r).for_each([&](const WriteId& id, const DestSet& d) {
+    if (d.contains(3) && id.clock > 0) naming_self.push_back(id);
+  });
+  EXPECT_EQ(waits_on, naming_self);
   return true;
 }
 
@@ -268,17 +279,26 @@ TEST(KsLog, DecodeAppliedRejectsWhatDeserializeRejects) {
     w.put_dest_set(dests({4}));
     w.put_write_id(c.second);
     w.put_dest_set(DestSet(c.second_universe, {1}));
-    EXPECT_FALSE(decode_applied_accepts(w.bytes(), serial::ClockWidth::k4Bytes, kN)) << c.what;
+    EXPECT_FALSE(receipt_accepts(w.bytes(), serial::ClockWidth::k4Bytes, kN)) << c.what;
   }
   // A log of another universe than the SM's destination set.
   serial::ByteWriter foreign;
   KsLog(kN + 1).serialize(foreign);
-  EXPECT_FALSE(decode_applied_accepts(foreign.bytes(), serial::ClockWidth::k4Bytes, kN));
+  EXPECT_FALSE(receipt_accepts(foreign.bytes(), serial::ClockWidth::k4Bytes, kN));
   // A count beyond the remaining bytes.
   serial::ByteWriter overcount;
   overcount.put_u16(kN);
   overcount.put_u16(1000);
-  EXPECT_FALSE(decode_applied_accepts(overcount.bytes(), serial::ClockWidth::k4Bytes, kN));
+  EXPECT_FALSE(receipt_accepts(overcount.bytes(), serial::ClockWidth::k4Bytes, kN));
+  // A dest list counting more members than its universe holds.
+  serial::ByteWriter crowded;
+  crowded.put_u16(kN);
+  crowded.put_u16(1);
+  crowded.put_write_id({2, 3});
+  crowded.put_u16(kN);
+  crowded.put_u16(kN + 1);
+  for (SiteId s = 0; s <= kN; ++s) crowded.put_u16(s % kN);
+  EXPECT_FALSE(receipt_accepts(crowded.bytes(), serial::ClockWidth::k4Bytes, kN));
   // A member outside the universe.
   serial::ByteWriter member;
   member.put_u16(kN);
@@ -287,7 +307,25 @@ TEST(KsLog, DecodeAppliedRejectsWhatDeserializeRejects) {
   member.put_u16(kN);
   member.put_u16(1);
   member.put_u16(kN);
-  EXPECT_FALSE(decode_applied_accepts(member.bytes(), serial::ClockWidth::k4Bytes, kN));
+  EXPECT_FALSE(receipt_accepts(member.bytes(), serial::ClockWidth::k4Bytes, kN));
+  // An entry cut short inside its dest list.
+  serial::ByteWriter truncated;
+  truncated.put_u16(kN);
+  truncated.put_u16(1);
+  truncated.put_write_id({2, 3});
+  truncated.put_u16(kN);
+  truncated.put_u16(2);
+  truncated.put_u16(1);
+  EXPECT_FALSE(receipt_accepts(truncated.bytes(), serial::ClockWidth::k4Bytes, kN));
+  // A well-formed log is accepted by both.
+  serial::ByteWriter good;
+  good.put_u16(kN);
+  good.put_u16(2);
+  good.put_write_id({2, 3});
+  good.put_dest_set(dests({3, 4}));
+  good.put_write_id({4, 1});
+  good.put_dest_set(dests({1}));
+  EXPECT_TRUE(receipt_accepts(good.bytes(), serial::ClockWidth::k4Bytes, kN));
 }
 
 /// Decodes `bytes` as a KS log. A rejected decode must latch the reader's
@@ -339,13 +377,13 @@ TEST(KsLogFuzz, TruncationAndBitFlipsNeverCrash) {
       const serial::Bytes& bytes = w.bytes();
       const SiteId n = log.universe_size();
       ASSERT_TRUE(decode_is_well_formed(bytes, cw));
-      ASSERT_TRUE(decode_applied_accepts(bytes, cw, n));
+      ASSERT_TRUE(receipt_accepts(bytes, cw, n));
       // Every strict prefix is short of the entries its count promises.
       for (std::size_t len = 0; len < bytes.size(); ++len) {
         const serial::Bytes head(bytes.begin(),
                                  bytes.begin() + static_cast<std::ptrdiff_t>(len));
         EXPECT_FALSE(decode_is_well_formed(head, cw)) << "prefix of " << len;
-        EXPECT_FALSE(decode_applied_accepts(head, cw, n)) << "prefix of " << len;
+        EXPECT_FALSE(receipt_accepts(head, cw, n)) << "prefix of " << len;
       }
       // Random byte flips, 1–4 at a time.
       for (int trial = 0; trial < 500; ++trial) {
@@ -357,7 +395,7 @@ TEST(KsLogFuzz, TruncationAndBitFlipsNeverCrash) {
           mutated[pos] = static_cast<std::uint8_t>(rng.next_u32());
         }
         (void)decode_is_well_formed(mutated, cw);
-        (void)decode_applied_accepts(mutated, cw, n);
+        (void)receipt_accepts(mutated, cw, n);
       }
     }
   }

@@ -2,6 +2,9 @@
 // predicate, the two implicit pruning conditions, and merge-on-read.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "causal/opt_track.hpp"
 
 namespace causim::causal {
@@ -202,6 +205,93 @@ TEST(OptTrack, LastWriteOnStoredPerVariable) {
   EXPECT_NE(p.last_write_log(0)->find(w1), nullptr);
   EXPECT_NE(p.last_write_log(1)->find(w2), nullptr);
   EXPECT_EQ(p.last_write_log(7), nullptr);
+}
+
+TEST(OptTrack, LastWriteOnDecodesOnFirstUseToTheEagerLog) {
+  // An SM's apply installs its piggyback's bytes as LastWriteOn; each of the
+  // four first uses must decode them to the log an eager decode at receipt
+  // builds, and a slot must hold one form at a time.
+  const DestSet d = dests({0, 1, 4});
+  OptTrack s0(0, kN), s2(2, kN);
+  WriteId w;
+  const auto m2 = write_at(s2, 1, dests({0, 2, 3}), &w);
+  const auto p2 = make_pending(s0, 2, 1, w, dests({0, 2, 3}), m2);
+  s0.apply(*p2);
+  s0.local_read(1);
+  write_at(s0, 2, dests({0, 3, 4}), &w);
+  WriteId wx, wy;
+  const auto mx = write_at(s0, 0, d, &wx);
+  const auto my = write_at(s0, 0, d, &wy);  // piggybacks wx, destined to site 1
+
+  const auto eager = [&](const WriteId& id, const serial::Bytes& meta) {
+    serial::ByteReader r(meta);
+    const KsLog log = KsLog::decode_applied(r, {id, d, 1}, {}, KsLog());
+    EXPECT_TRUE(r.ok() && r.done());
+    return log;
+  };
+  const KsLog log_x = eager(wx, mx);
+  ASSERT_EQ(log_x.size(), 3u);
+  serial::ByteWriter rm_x;
+  log_x.serialize(rm_x);
+  const auto receive = [&](OptTrack& site, const WriteId& id, const serial::Bytes& meta) {
+    const auto p = make_pending(site, 0, 0, id, d, meta);
+    ASSERT_TRUE(site.ready(*p));
+    site.apply(*p);
+    EXPECT_EQ(site.last_write_buffers(0).first, 0u) << "an SM leaves only bytes";
+    EXPECT_GE(site.last_write_buffers(0).second, meta.size());
+  };
+  const auto served = [](const OptTrack& site) {
+    serial::ByteWriter rm;
+    site.remote_return_meta(0, rm);
+    return rm.take();
+  };
+
+  const std::function<void(OptTrack&)> first_uses[] = {
+      [&](OptTrack& site) {  // a local read merges the log
+        KsLog expected = site.log();
+        std::vector<WriteClock> applied;
+        for (SiteId j = 0; j < kN; ++j) applied.push_back(site.applied_clock(j));
+        expected.merge_and_clean(log_x, 1, applied, {});
+        site.local_read(0);
+        EXPECT_EQ(site.log(), expected);
+      },
+      [&](OptTrack& site) { EXPECT_EQ(served(site), rm_x.bytes()); },  // an FM serve
+      [&](OptTrack& site) {  // a live-sampler tick
+        EXPECT_EQ(site.local_meta_bytes(), site.log().wire_bytes(serial::ClockWidth::k4Bytes) +
+                                               kN * 4 +
+                                               log_x.wire_bytes(serial::ClockWidth::k4Bytes));
+      },
+      [&](OptTrack& site) { EXPECT_EQ(*site.last_write_log(0), log_x); },
+  };
+  for (const auto& first_use : first_uses) {
+    OptTrack s1(1, kN);
+    receive(s1, wx, mx);
+    first_use(s1);
+    EXPECT_GT(s1.last_write_buffers(0).first, 0u);
+    EXPECT_EQ(s1.last_write_buffers(0).second, 0u) << "a decoded slot keeps no bytes";
+    EXPECT_EQ(*s1.last_write_log(0), log_x);
+    EXPECT_EQ(served(s1), rm_x.bytes());
+  }
+
+  // An SM over a decoded slot, and one over a slot still in bytes.
+  for (const bool decode_first : {true, false}) {
+    OptTrack s1(1, kN);
+    receive(s1, wx, mx);
+    if (decode_first) {
+      ASSERT_NE(s1.last_write_log(0), nullptr);
+    }
+    receive(s1, wy, my);
+    EXPECT_EQ(*s1.last_write_log(0), eager(wy, my));
+  }
+
+  // A local write over a slot still in bytes.
+  OptTrack s1(1, kN);
+  receive(s1, wx, mx);
+  serial::ByteWriter meta;
+  s1.local_write(0, Value{2, 0}, d, meta);
+  EXPECT_GT(s1.last_write_buffers(0).first, 0u);
+  EXPECT_EQ(s1.last_write_buffers(0).second, 0u);
+  EXPECT_EQ(*s1.last_write_log(0), s1.log());
 }
 
 TEST(OptTrack, LogStaysBoundedUnderManyWrites) {
