@@ -258,27 +258,17 @@ bool summarize_timeseries(const obs::analysis::Json& doc, const std::string& pat
     return false;
   }
   const auto& samples = doc.at("samples").array();
-  const auto num = [](double v) {
-    std::ostringstream s;
-    if (v == static_cast<double>(static_cast<long long>(v))) {
-      s << static_cast<long long>(v);
-    } else {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.9g", v);
-      s << buf;
-    }
-    return s.str();
-  };
+  using obs::analysis::json_number;
 
   out << "{\"schema\":\"causim.timeseries.summary.v1\"";
   out << ",\"samples\":" << samples.size();
   out << ",\"runs\":" << doc.at("runs").size();
-  out << ",\"interval_us\":" << num(doc.at("interval_us").number());
-  out << ",\"sites\":" << num(doc.at("sites").number());
-  out << ",\"truncated\":" << num(doc.at("truncated").number());
+  out << ",\"interval_us\":" << json_number(doc.at("interval_us").number());
+  out << ",\"sites\":" << json_number(doc.at("sites").number());
+  out << ",\"truncated\":" << json_number(doc.at("truncated").number());
   if (!samples.empty()) {
-    out << ",\"t_begin\":" << num(samples.front().at("ts").number());
-    out << ",\"t_end\":" << num(samples.back().at("ts").number());
+    out << ",\"t_begin\":" << json_number(samples.front().at("ts").number());
+    out << ",\"t_end\":" << json_number(samples.back().at("ts").number());
   }
   out << ",\"metrics\":{";
   bool first = true;
@@ -291,8 +281,10 @@ bool summarize_timeseries(const obs::analysis::Json& doc, const std::string& pat
       last = v;
     }
     out << (first ? "" : ",") << "\"" << metric << "\":{\"count\":" << summary.count()
-        << ",\"mean\":" << num(summary.mean()) << ",\"min\":" << num(summary.min())
-        << ",\"max\":" << num(summary.max()) << ",\"last\":" << num(last) << "}";
+        << ",\"mean\":" << json_number(summary.mean())
+        << ",\"min\":" << json_number(summary.min())
+        << ",\"max\":" << json_number(summary.max())
+        << ",\"last\":" << json_number(last) << "}";
     first = false;
   }
   out << "}}\n";

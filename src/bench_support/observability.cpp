@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -10,23 +9,14 @@
 #include <sstream>
 
 #include "obs/analysis/analysis.hpp"
+#include "obs/analysis/json.hpp"
 #include "obs/perfetto_export.hpp"
 
 namespace causim::bench_support {
 
 namespace {
 
-/// JSON-safe number rendering, matching obs::analysis: integral values
-/// print without a fraction, everything else with round-trip precision.
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
+using obs::analysis::json_number;
 
 void write_kind(std::ostream& out, const char* name, const stats::SizeBreakdown& k) {
   out << "\"" << name << "\":{\"count\":" << k.count
@@ -142,8 +132,8 @@ void Observability::append_cell(const std::string& label,
   out << ",\"replication\":" << params.replication;
   out << ",\"variables\":" << params.variables;
   out << ",\"ops_per_site\":" << params.ops_per_site;
-  out << ",\"write_rate\":" << num(params.write_rate);
-  out << ",\"zipf_s\":" << num(params.zipf_s);
+  out << ",\"write_rate\":" << json_number(params.write_rate);
+  out << ",\"zipf_s\":" << json_number(params.zipf_s);
   out << ",\"payload_hi\":" << params.payload_hi;
   out << ",\"seeds\":" << params.seeds.size();
   out << ",\"causal_fetch\":" << (params.causal_fetch ? "true" : "false");
@@ -180,7 +170,7 @@ void Observability::append_cell(const std::string& label,
   out << ",\"runs\":" << result.runs;
   out << ",\"recorded_writes\":" << result.recorded_writes;
   out << ",\"recorded_reads\":" << result.recorded_reads;
-  out << ",\"wall_s\":" << num(wall_s);
+  out << ",\"wall_s\":" << json_number(wall_s);
   out << ",\"messages\":{";
   write_kind(out, "SM", result.stats.of(MessageKind::kSM));
   out << ",";
@@ -190,18 +180,19 @@ void Observability::append_cell(const std::string& label,
   out << ",";
   write_kind(out, "total", result.stats.total());
   out << "}";
-  out << ",\"mean_message_count\":" << num(result.mean_message_count());
-  out << ",\"mean_total_meta_bytes\":" << num(result.mean_total_meta_bytes());
-  out << ",\"mean_total_overhead_bytes\":" << num(result.mean_total_overhead_bytes());
+  out << ",\"mean_message_count\":" << json_number(result.mean_message_count());
+  out << ",\"mean_total_meta_bytes\":" << json_number(result.mean_total_meta_bytes());
+  out << ",\"mean_total_overhead_bytes\":"
+      << json_number(result.mean_total_overhead_bytes());
   out << ",\"log_entries\":{\"count\":" << result.log_entries.count()
-      << ",\"mean\":" << num(result.log_entries.mean())
-      << ",\"max\":" << num(result.log_entries.max()) << "}";
+      << ",\"mean\":" << json_number(result.log_entries.mean())
+      << ",\"max\":" << json_number(result.log_entries.max()) << "}";
   out << ",\"apply_delay_us\":{\"count\":" << result.apply_delay_us.count()
-      << ",\"mean\":" << num(result.apply_delay_us.mean())
-      << ",\"max\":" << num(result.apply_delay_us.max()) << "}";
+      << ",\"mean\":" << json_number(result.apply_delay_us.mean())
+      << ",\"max\":" << json_number(result.apply_delay_us.max()) << "}";
   out << ",\"fetch_latency_us\":{\"count\":" << result.fetch_latency_us.count()
-      << ",\"mean\":" << num(result.fetch_latency_us.mean())
-      << ",\"max\":" << num(result.fetch_latency_us.max()) << "}";
+      << ",\"mean\":" << json_number(result.fetch_latency_us.mean())
+      << ",\"max\":" << json_number(result.fetch_latency_us.max()) << "}";
   out << ",\"faults\":{\"drops\":" << result.drops
       << ",\"retransmits\":" << result.retransmits
       << ",\"dup_suppressed\":" << result.dup_suppressed
@@ -211,17 +202,20 @@ void Observability::append_cell(const std::string& label,
   if (live != nullptr) {
     const obs::live::VisibilitySummary v = live->visibility_summary();
     out << ",\"visibility_us\":{\"count\":" << v.count
-        << ",\"unmatched\":" << v.unmatched << ",\"mean\":" << num(v.mean_us)
-        << ",\"max\":" << num(v.max_us) << ",\"p50\":" << num(v.p50_us)
-        << ",\"p90\":" << num(v.p90_us) << ",\"p99\":" << num(v.p99_us)
-        << ",\"p999\":" << num(v.p999_us) << "}";
+        << ",\"unmatched\":" << v.unmatched << ",\"mean\":" << json_number(v.mean_us)
+        << ",\"max\":" << json_number(v.max_us) << ",\"p50\":" << json_number(v.p50_us)
+        << ",\"p90\":" << json_number(v.p90_us) << ",\"p99\":" << json_number(v.p99_us)
+        << ",\"p999\":" << json_number(v.p999_us) << "}";
     const obs::live::CritpathSummary cp = live->critpath_summary();
     if (cp.enabled) {
       const auto seg = [&](const char* name, const obs::live::CritpathSegment& s) {
         out << ",\"" << name << "\":{\"count\":" << s.count
-            << ",\"total\":" << num(s.total_us) << ",\"mean\":" << num(s.mean_us)
-            << ",\"p50\":" << num(s.p50_us) << ",\"p90\":" << num(s.p90_us)
-            << ",\"p99\":" << num(s.p99_us) << ",\"max\":" << num(s.max_us) << "}";
+            << ",\"total\":" << json_number(s.total_us)
+            << ",\"mean\":" << json_number(s.mean_us)
+            << ",\"p50\":" << json_number(s.p50_us)
+            << ",\"p90\":" << json_number(s.p90_us)
+            << ",\"p99\":" << json_number(s.p99_us)
+            << ",\"max\":" << json_number(s.max_us) << "}";
       };
       out << ",\"critpath\":{\"ops\":" << cp.ops
           << ",\"dep_segments\":" << cp.dep_segments
@@ -231,7 +225,7 @@ void Observability::append_cell(const std::string& label,
       seg("dep_wait_us", cp.dep_wait);
       out << ",\"blocked_on_writer_us\":[";
       for (std::size_t i = 0; i < cp.blocked_on_writer_us.size(); ++i) {
-        out << (i == 0 ? "" : ",") << num(cp.blocked_on_writer_us[i]);
+        out << (i == 0 ? "" : ",") << json_number(cp.blocked_on_writer_us[i]);
       }
       out << "],\"top_blockers\":[";
       for (std::size_t i = 0; i < cp.top_blockers.size(); ++i) {
@@ -239,8 +233,8 @@ void Observability::append_cell(const std::string& label,
         out << (i == 0 ? "" : ",") << "{\"writer\":" << b.writer
             << ",\"value\":" << b.value
             << ",\"ordinal\":" << (b.ordinal ? "true" : "false")
-            << ",\"segments\":" << b.segments << ",\"wait_us\":" << num(b.wait_us)
-            << ",\"error_us\":" << num(b.error_us) << "}";
+            << ",\"segments\":" << b.segments << ",\"wait_us\":" << json_number(b.wait_us)
+            << ",\"error_us\":" << json_number(b.error_us) << "}";
       }
       out << "]}";
     }

@@ -366,14 +366,17 @@ void SiteRuntime::drain_pending_locked() {
       pending_.erase(it);
       protocol_->apply(*queued.update);
       ++total_applies_;
-      const SimTime waited = now_fn_ ? now_fn_() - queued.received : 0;
+      // Only an update that was buffered on arrival waited: one whose
+      // predicate held is applied in the receipt's own drain.
+      const SimTime waited = queued.was_buffered ? now_locked() - queued.received : 0;
       if (waited > 0) apply_delay_.record(static_cast<double>(waited));
       const auto& env = queued.update->env();
       store_[env.var] = {env.value, env.write};
       if (recorder_ != nullptr) recorder_->record_apply(self_, env.var, env.write);
       if (queued.blocker.valid()) {
         // Close the final blocker segment: its end is this apply (d = 0).
-        trace_dep_satisfied_locked(queued, causal::BlockingDep{});
+        trace_dep_satisfied_locked(queued, causal::BlockingDep{},
+                                   queued.received + waited);
       }
       {
         obs::TraceEvent e;
@@ -395,12 +398,13 @@ void SiteRuntime::drain_pending_locked() {
 }
 
 void SiteRuntime::trace_dep_satisfied_locked(const QueuedUpdate& queued,
-                                             const causal::BlockingDep& next) {
+                                             const causal::BlockingDep& next,
+                                             SimTime end) {
   obs::TraceEvent e;
   e.type = obs::TraceEventType::kDepSatisfied;
   e.peer = queued.update->env().sender;
   e.ts = queued.blocker_since;
-  e.dur = now_locked() - queued.blocker_since;
+  e.dur = end - queued.blocker_since;
   e.a = queued.update->env().var;
   e.b = obs::pack_write_id(queued.update->env().write);
   e.c = obs::pack_blocking_dep(queued.blocker.writer, queued.blocker.value,
@@ -412,6 +416,9 @@ void SiteRuntime::trace_dep_satisfied_locked(const QueuedUpdate& queued,
 }
 
 void SiteRuntime::trace_dep_progress_locked() {
+  // One reading for every segment this apply closes and opens, so the
+  // segments tile [receipt, apply) on a real clock too.
+  const SimTime now = now_locked();
   for (QueuedUpdate& queued : pending_) {
     if (!queued.blocker.valid()) continue;
     const causal::BlockingDep dep = protocol_->blocking_dep(*queued.update);
@@ -419,9 +426,9 @@ void SiteRuntime::trace_dep_progress_locked() {
     // the apply itself (d = 0), not here — otherwise the tiling would leave
     // an unattributed gap between "last blocker resolved" and the apply.
     if (!dep.valid() || dep == queued.blocker) continue;
-    trace_dep_satisfied_locked(queued, dep);
+    trace_dep_satisfied_locked(queued, dep, now);
     queued.blocker = dep;
-    queued.blocker_since = now_locked();
+    queued.blocker_since = now;
   }
 }
 

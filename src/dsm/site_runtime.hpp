@@ -207,9 +207,10 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
     SimTime blocker_since = 0;
   };
 
-  /// One closed blocker segment of a buffered update (see kDepSatisfied).
+  /// One closed blocker segment of a buffered update, ending at `end`
+  /// (see kDepSatisfied).
   void trace_dep_satisfied_locked(const QueuedUpdate& queued,
-                                  const causal::BlockingDep& next);
+                                  const causal::BlockingDep& next, SimTime end);
 
   struct HeldFetch {
     Envelope request;

@@ -14,10 +14,16 @@ ThreadCluster::ThreadCluster(const ClusterConfig& config, Options options)
   topt.max_delay_us = options.max_wire_delay_us;
   topt.seed = config_.seed;
   transport_ = std::make_unique<net::ThreadTransport>(config_.sites, topt);
+  // One clock for the whole stack: the transport's. The sites stamp their
+  // events and time fetches and buffered applies with it, and the timer
+  // behind RTOs, injected delays and coalescer flushes reads it too.
+  const net::ThreadTransport* clock = transport_.get();
   engine::NodeStack::Wiring wiring;
   wiring.wire = transport_.get();
-  // The ThreadTimerDriver supplies real-time RTOs and injected delays.
-  wiring.make_timer = [] { return std::make_unique<net::ThreadTimerDriver>(); };
+  wiring.make_timer = [epoch = clock->epoch()] {
+    return std::make_unique<net::ThreadTimerDriver>(epoch);
+  };
+  wiring.now_fn = [clock] { return clock->now(); };
   stack_ = std::make_unique<engine::NodeStack>(config_, std::move(wiring));
   engine::PooledExecutor::Options popt;
   popt.workers = config_.executor == engine::ExecutorKind::kPooled

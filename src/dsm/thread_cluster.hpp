@@ -1,14 +1,15 @@
 // ThreadCluster — the same n-site causal DSM run over real threads,
 // standing in for the paper's one-JVM-process-per-site TCP testbed.
 //
-// The cluster supplies the substrate-specific edges (ThreadTransport and
-// its ThreadTimerDriver) and delegates assembly to engine::NodeStack and
-// schedule execution to engine::ScheduleDriver plus the PooledExecutor:
-// every site's ops and deliveries run as tasks on the transport's worker
-// pool, one worker per site by default (EngineConfig::executor =
-// kPerSite) or EngineConfig::workers of them (kPooled, the throughput
-// lane). Message counts and sizes are schedule-determined and must match
-// the discrete-event run bit for bit where contents are
+// The cluster supplies the substrate-specific edges (the ThreadTransport,
+// whose clock is the stack's, and ThreadTimerDriver factories reading that
+// clock) and delegates assembly to engine::NodeStack and schedule
+// execution to engine::ScheduleDriver plus the PooledExecutor: every
+// site's ops and deliveries run as tasks on the transport's worker pool,
+// one worker per site by default (EngineConfig::executor = kPerSite) or
+// EngineConfig::workers of them (kPooled, the throughput lane). Message
+// counts and sizes are schedule-determined and must match the
+// discrete-event run bit for bit where contents are
 // interleaving-independent (counts, Full-Track/optP clock sizes); the test
 // suite asserts the cross-transport and cross-executor equivalences that
 // hold.

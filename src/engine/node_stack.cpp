@@ -94,14 +94,13 @@ NodeStack::NodeStack(const EngineConfig& config, Wiring wiring)
   }
   // Live telemetry interposes in front of the user's sink: site/transport
   // events flow through the online tracker and are forwarded unchanged.
-  // Under the DES the wiring has a clock and event timestamps are already
-  // exact; under threads site lifecycle events carry ts = 0, so the tracker
-  // stamps them with its own steady clock instead (the sampler's
-  // kTimeSample events are stamped by the sampler itself).
+  // The tracker reads only event timestamps, so every layer must stamp
+  // them on the stack clock.
   obs::TraceSink* sink = config_.trace_sink;
   if (config_.live != nullptr) {
+    CAUSIM_CHECK(wiring.now_fn != nullptr,
+                 "a live tracker needs the stack clock but the wiring has no now_fn");
     config_.live->set_downstream(config_.trace_sink);
-    config_.live->set_event_clock(static_cast<bool>(wiring.now_fn));
     sink = config_.live;
   }
   edge_->set_trace_sink(sink);

@@ -10,9 +10,10 @@
 // observability wiring (trace sinks down the stack, metrics folds up).
 // They differ only in the substrate-specific edges — which wire, which
 // TimerDriver, what "now" means — so NodeStack takes those three things as
-// a Wiring and owns everything else. The clusters keep their public
-// accessors by delegating here; no fault/reliability construction remains
-// in dsm/.
+// a Wiring and owns everything else. Each substrate has one clock: the
+// simulator's, or the thread transport's, which its timers read too. The
+// clusters keep their public accessors by delegating here; no
+// fault/reliability construction remains in dsm/.
 #pragma once
 
 #include <functional>
@@ -40,9 +41,12 @@ class NodeStack {
   /// The substrate-specific edges. `wire` is the bottom transport
   /// (SimTransport or ThreadTransport), owned by the caller and outliving
   /// the stack. `make_timer` is invoked at most once, only when a fault
-  /// plan or the reliable channel asks for a timer-driven layer. `now_fn`
-  /// is handed to every SiteRuntime for latency measurement and trace
-  /// timestamps (empty = no clock, as under real threads).
+  /// plan, the reliable channel, batching or a multi-cell topology asks
+  /// for a timer-driven layer. `now_fn` is the substrate's clock
+  /// (Simulator::now or ThreadTransport::now, the one the timer reads),
+  /// handed to every SiteRuntime for fetch latency, activation delay and
+  /// trace timestamps. It may be empty only without a live tracker: sites
+  /// then measure no latency and stamp their events 0.
   struct Wiring {
     net::Transport* wire = nullptr;
     std::function<std::unique_ptr<net::TimerDriver>()> make_timer;
@@ -88,8 +92,8 @@ class NodeStack {
   /// every site's LiveSample, the wire's in-flight count and the
   /// reliability layer's counters, and hands the lot to
   /// LiveTelemetry::record_sample. `now` stamps the timeseries row and
-  /// every site's kTimeSample event alike: the DES clock under
-  /// SimExecutor, LiveTelemetry::wall_now() under the thread sampler.
+  /// every site's kTimeSample event alike; the samplers pass the stack
+  /// clock (Simulator::now, ThreadTransport::now).
   void live_sample(SimTime now);
 
   /// The post-run quiescence invariants, shared verbatim by both

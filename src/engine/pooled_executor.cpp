@@ -1,7 +1,7 @@
 #include "engine/pooled_executor.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <thread>
 
 #include "common/panic.hpp"
 #include "net/thread_transport.hpp"
@@ -158,29 +158,20 @@ void PooledExecutor::abort() {
 void PooledExecutor::start_sampler() {
   obs::live::LiveTelemetry* live = stack_.config().live;
   if (live == nullptr || live->sample_interval() <= 0) return;
-  sampling_ = true;
-  sampler_ = std::thread([this, live] {
-    const auto period = std::chrono::microseconds(live->sample_interval());
-    std::unique_lock lock(mutex_);
-    while (sampling_) {
-      lock.unlock();
-      // The stack snapshots under per-site locks; there is no engine clock
-      // under threads, so the telemetry's steady clock stamps the tick.
-      stack_.live_sample(live->wall_now());
-      lock.lock();
-      sampler_cv_.wait_for(lock, period, [this] { return !sampling_; });
-    }
-  });
+  sampler_ = std::make_unique<net::ThreadTimerDriver>(transport_.epoch());
+  sampler_->schedule(0, [this] { sample(); });
+}
+
+void PooledExecutor::sample() {
+  // The stack snapshots under per-site locks, on the timer's thread.
+  stack_.live_sample(transport_.now());
+  sampler_->schedule(stack_.config().live->sample_interval(), [this] { sample(); });
 }
 
 void PooledExecutor::stop_sampler() {
-  if (!sampler_.joinable()) return;
-  {
-    std::lock_guard lock(mutex_);
-    sampling_ = false;
-  }
-  sampler_cv_.notify_all();
-  sampler_.join();
+  if (sampler_ == nullptr) return;
+  sampler_->stop();  // joins: no tick runs past this line
+  sampler_.reset();
 }
 
 }  // namespace causim::engine

@@ -31,9 +31,9 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <thread>
 
 #include "engine/schedule_driver.hpp"
+#include "net/timer.hpp"
 
 namespace causim::net {
 class ThreadTransport;
@@ -90,12 +90,15 @@ class PooledExecutor final : public Executor {
   void complete(SiteId s);
   void site_finished();
 
-  /// The live time-series sampler: real time stands in for the DES clock,
-  /// so a thread ticks NodeStack::live_sample every
-  /// LiveTelemetry::sample_interval µs of wall time, stamping each tick
-  /// with LiveTelemetry::wall_now(). Both are no-ops without a live
-  /// tracker or with a zero interval; stop_sampler() is idempotent.
+  /// The live time-series sampler: a ThreadTimerDriver on the transport's
+  /// clock ticks NodeStack::live_sample every
+  /// LiveTelemetry::sample_interval µs, stamping each tick with
+  /// ThreadTransport::now(), the clock the sites stamp their events with.
+  /// start_sampler() is a no-op without a live tracker or with a zero
+  /// interval; stop_sampler() joins the timer before releasing it and is
+  /// idempotent.
   void start_sampler();
+  void sample();
   void stop_sampler();
 
   NodeStack& stack_;
@@ -107,13 +110,11 @@ class PooledExecutor final : public Executor {
   std::unique_ptr<SiteState[]> sites_;
   std::atomic<std::size_t> live_sites_{0};
 
-  /// Orders the done_cv_ and sampler_cv_ handshakes.
+  /// Orders the done_cv_ handshake.
   std::mutex mutex_;
   std::condition_variable done_cv_;  // play(): all sites done or stop
   std::atomic<bool> stop_{false};
-  std::condition_variable sampler_cv_;
-  bool sampling_ = false;
-  std::thread sampler_;
+  std::unique_ptr<net::ThreadTimerDriver> sampler_;
 
   /// Serializes play() startup against abort()/finish() teardown, so an
   /// abort racing a starting run sees either "not started" or the fully

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -11,6 +9,7 @@
 #include "common/panic.hpp"
 #include "dsm/cluster.hpp"
 #include "dsm/thread_cluster.hpp"
+#include "obs/analysis/json.hpp"
 #include "obs/live/live_telemetry.hpp"
 #include "sim/simulator.hpp"
 
@@ -18,18 +17,7 @@ namespace causim::kv {
 
 namespace {
 
-/// JSON-safe number rendering, matching obs::analysis / bench_support:
-/// integral values print without a fraction, everything else with
-/// round-trip precision.
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
+using obs::analysis::json_number;
 
 /// Per-site measurement state. Sites are serialized on every substrate
 /// (the blocking-op contract), but completions fire on whichever pool
@@ -241,15 +229,16 @@ std::string service_block_json(const ServiceParams& params,
                                const ServiceResult& result) {
   std::ostringstream out;
   const auto latency = [&out](const char* name, const LatencyDigest& d) {
-    out << ",\"" << name << "\":{\"count\":" << d.count << ",\"mean\":" << num(d.mean_us)
-        << ",\"max\":" << num(d.max_us) << ",\"p50\":" << num(d.p50_us)
-        << ",\"p90\":" << num(d.p90_us) << ",\"p99\":" << num(d.p99_us)
-        << ",\"p999\":" << num(d.p999_us) << "}";
+    out << ",\"" << name << "\":{\"count\":" << d.count
+        << ",\"mean\":" << json_number(d.mean_us)
+        << ",\"max\":" << json_number(d.max_us) << ",\"p50\":" << json_number(d.p50_us)
+        << ",\"p90\":" << json_number(d.p90_us) << ",\"p99\":" << json_number(d.p99_us)
+        << ",\"p999\":" << json_number(d.p999_us) << "}";
   };
   out << "{\"substrate\":\"" << to_string(params.substrate) << "\"";
-  out << ",\"rate_per_site\":" << num(params.workload.rate_ops_per_sec);
+  out << ",\"rate_per_site\":" << json_number(params.workload.rate_ops_per_sec);
   out << ",\"keys\":" << params.workload.keys;
-  out << ",\"key_zipf_s\":" << num(params.workload.zipf_s);
+  out << ",\"key_zipf_s\":" << json_number(params.workload.zipf_s);
   out << ",\"sessions\":" << result.session_count;
   out << ",\"flash\":" << (params.workload.flash ? "true" : "false");
   out << ",\"enforce\":" << (params.store.enforce ? "true" : "false");
@@ -260,8 +249,8 @@ std::string service_block_json(const ServiceParams& params,
   out << ",\"retries\":" << result.sessions.retries;
   out << ",\"stale\":" << result.sessions.stale_observations;
   out << ",\"violations\":" << result.sessions.violations;
-  out << ",\"duration_s\":" << num(result.duration_s);
-  out << ",\"sustained_ops_per_sec\":" << num(result.sustained_ops_per_sec);
+  out << ",\"duration_s\":" << json_number(result.duration_s);
+  out << ",\"sustained_ops_per_sec\":" << json_number(result.sustained_ops_per_sec);
   latency("get_latency_us", digest(result.get_latency_us));
   latency("put_latency_us", digest(result.put_latency_us));
   out << "}";

@@ -1,7 +1,6 @@
 #include "net/thread_transport.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/panic.hpp"
@@ -34,6 +33,7 @@ ThreadTransport::ThreadTransport(SiteId n) : ThreadTransport(n, Options()) {}
 ThreadTransport::ThreadTransport(SiteId n, Options options)
     : max_delay_us_(options.max_delay_us),
       rng_state_(options.seed == 0 ? 0x9e3779b97f4a7c15ULL : options.seed),
+      last_due_(options.max_delay_us > 0 ? static_cast<std::size_t>(n) * n : 0, 0),
       channel_seq_(static_cast<std::size_t>(n) * n, 0),
       epoch_(std::chrono::steady_clock::now()) {
   lanes_.reserve(n);
@@ -44,12 +44,6 @@ void ThreadTransport::set_trace_sink(obs::TraceSink* sink) {
   std::lock_guard lock(pool_mutex_);
   CAUSIM_CHECK(!running_, "set_trace_sink after start()");
   trace_ = sink;
-}
-
-SimTime ThreadTransport::trace_now() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
 }
 
 ThreadTransport::~ThreadTransport() { stop(); }
@@ -66,14 +60,12 @@ void ThreadTransport::start(unsigned workers) {
     std::lock_guard lock(pool_mutex_);
     CAUSIM_CHECK(!running_, "transport already started");
     running_ = true;
+    if (max_delay_us_ > 0) delay_ = std::make_unique<ThreadTimerDriver>(epoch_);
   }
   const std::size_t width = workers == 0 ? lanes_.size() : workers;
   workers_.reserve(width);
   for (std::size_t i = 0; i < width; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
-  }
-  if (max_delay_us_ > 0) {
-    wire_thread_ = std::thread([this] { wire_loop(); });
   }
 }
 
@@ -133,44 +125,31 @@ void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
   Packet p{from, to, 0, std::move(bytes)};
   const std::uint64_t packet_bytes = p.bytes.size();
   if (max_delay_us_ > 0) {
-    {
-      // Due times are assigned under the wire mutex so per-channel FIFO can
-      // be enforced by clamping to the previous due time on the same channel.
-      std::lock_guard lock(wire_mutex_);
-      p.seq = channel_seq_[channel]++;
-      const auto now = std::chrono::steady_clock::now();
-      const std::int64_t jitter =
-          static_cast<std::int64_t>(next_rand(rng_state_) % static_cast<std::uint64_t>(max_delay_us_ + 1));
-      auto due = now + std::chrono::microseconds(jitter);
-      // Enforce FIFO per channel: never due earlier than an earlier packet on
-      // the same (from, to) channel still in the wire queue.
-      for (auto it = wire_queue_.rbegin(); it != wire_queue_.rend(); ++it) {
-        if (it->packet.from == p.from && it->packet.to == p.to) {
-          due = std::max(due, it->due + std::chrono::microseconds(1));
-          break;
-        }
-      }
-      const SimTime held_us =
-          std::chrono::duration_cast<std::chrono::microseconds>(due - now).count();
-      const std::uint64_t seq = p.seq;
-      TimedPacket tp{due, std::move(p)};
-      const auto pos = std::upper_bound(
-          wire_queue_.begin(), wire_queue_.end(), tp,
-          [](const TimedPacket& a, const TimedPacket& b) { return a.due < b.due; });
-      wire_queue_.insert(pos, std::move(tp));
-      if (trace_ != nullptr) {
-        obs::TraceEvent e;
-        e.type = obs::TraceEventType::kWireDelay;
-        e.site = from;
-        e.peer = to;
-        e.ts = trace_now();
-        e.dur = held_us;
-        e.a = seq;
-        e.b = packet_bytes;
-        trace_->emit(e);
-      }
+    // Due times are assigned, and the packets scheduled, under the wire
+    // mutex, each clamped past the channel's previous one: the timer fires
+    // in due order, so the channel stays FIFO.
+    std::lock_guard lock(wire_mutex_);
+    p.seq = channel_seq_[channel]++;
+    const SimTime now_us = now();
+    const auto jitter = static_cast<SimTime>(
+        next_rand(rng_state_) % static_cast<std::uint64_t>(max_delay_us_ + 1));
+    const SimTime due = std::max(now_us + jitter, last_due_[channel] + 1);
+    last_due_[channel] = due;
+    if (trace_ != nullptr) {
+      obs::TraceEvent e;
+      e.type = obs::TraceEventType::kWireDelay;
+      e.site = from;
+      e.peer = to;
+      e.ts = now_us;
+      e.dur = due - now_us;
+      e.a = p.seq;
+      e.b = packet_bytes;
+      trace_->emit(e);
     }
-    wire_cv_.notify_one();
+    delay_->schedule_at(due, [this, p = std::move(p)]() mutable {
+      const SiteId target = p.to;
+      enqueue(target, Task{std::move(p), {}});
+    });
     return;
   }
   Lane& lane = *lanes_[to];
@@ -183,7 +162,7 @@ void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
       e.type = obs::TraceEventType::kWireDelay;
       e.site = from;
       e.peer = to;
-      e.ts = trace_now();
+      e.ts = now();
       e.a = p.seq;
       e.b = packet_bytes;
       trace_->emit(e);
@@ -191,25 +170,6 @@ void ThreadTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
     wake = push_locked(lane, Task{std::move(p), {}});
   }
   if (wake) make_ready(to);
-}
-
-void ThreadTransport::wire_loop() {
-  std::unique_lock lock(wire_mutex_);
-  for (;;) {
-    wire_cv_.wait(lock, [this] { return stopping_ || !wire_queue_.empty(); });
-    if (wire_queue_.empty()) return;  // stopping and drained
-    const auto due = wire_queue_.front().due;
-    if (due > std::chrono::steady_clock::now()) {
-      wire_cv_.wait_until(lock, due);
-      continue;
-    }
-    Packet p = std::move(wire_queue_.front().packet);
-    wire_queue_.pop_front();
-    lock.unlock();
-    const SiteId to = p.to;
-    enqueue(to, Task{std::move(p), {}});
-    lock.lock();
-  }
 }
 
 void ThreadTransport::worker_loop() {
@@ -262,7 +222,7 @@ void ThreadTransport::run_lane(SiteId site) {
         e.type = obs::TraceEventType::kDeliver;
         e.site = site;
         e.peer = task.packet.from;
-        e.ts = trace_now();
+        e.ts = now();
         e.a = task.packet.seq;
         e.b = task.packet.bytes.size();
         trace_->emit(e);
@@ -289,15 +249,16 @@ void ThreadTransport::stop() {
   }
   quiesce();
   {
-    std::scoped_lock lock(pool_mutex_, wire_mutex_);
+    std::lock_guard lock(pool_mutex_);
     stopping_ = true;
   }
+  // Quiescent: the delay stage holds no packet, so stopping its timer
+  // discards nothing. The timer object stays until the next start().
+  if (delay_ != nullptr) delay_->stop();
   pool_cv_.notify_all();
-  wire_cv_.notify_all();
   for (auto& t : workers_) t.join();
   workers_.clear();
-  if (wire_thread_.joinable()) wire_thread_.join();
-  std::scoped_lock lock(pool_mutex_, wire_mutex_);
+  std::lock_guard lock(pool_mutex_);
   stopping_ = false;
   running_ = false;
 }

@@ -16,10 +16,16 @@
 // sends while holding its site mutex, so a handler run on the caller's
 // stack could deadlock.
 //
-// An optional artificial delay stage (the "wire") re-injects latency:
-// packets are held by a dedicated timer thread until their due time, with
-// per-channel FIFO enforced, so thread runs can exhibit the same
-// out-of-order cross-channel arrivals the simulator produces.
+// The transport's epoch is the clock of the whole thread stack: now() is
+// real microseconds since construction, the delay stage and every trace
+// event of the transport read it, and the stack hands it to its sites and
+// to every ThreadTimerDriver it builds (see epoch()).
+//
+// An optional artificial delay stage (the "wire") re-injects latency: each
+// packet becomes a callback on a ThreadTimerDriver at an absolute due time
+// clamped past its channel's previous one, so per-channel FIFO holds while
+// thread runs exhibit the same out-of-order cross-channel arrivals the
+// simulator produces. Without a delay the stage has no timer and no thread.
 #pragma once
 
 #include <chrono>
@@ -31,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/timer.hpp"
 #include "net/transport.hpp"
 
 namespace causim::net {
@@ -53,8 +60,9 @@ class ThreadTransport final : public Transport {
 
   void attach(SiteId site, PacketHandler* handler) override;
 
-  /// Starts `workers` pool workers (0 = one per site) and the delay stage.
-  /// All attach() calls must precede start().
+  /// Starts `workers` pool workers (0 = one per site) and the delay stage's
+  /// timer (only with max_delay_us > 0). All attach() calls must precede
+  /// start().
   void start(unsigned workers = 0);
 
   /// Queues `task` on `site`'s lane, behind every delivery already queued
@@ -78,9 +86,13 @@ class ThreadTransport final : public Transport {
   std::uint64_t packets_sent() const override;
   std::uint64_t packets_delivered() const override;
 
-  /// Must be called before start(); timestamps are real microseconds since
-  /// transport construction (thread runs are wall-clock, not simulated).
+  /// Must be called before start(); events are stamped with now().
   void set_trace_sink(obs::TraceSink* sink) override;
+
+  /// Time 0 of the stack clock: this transport's construction instant.
+  std::chrono::steady_clock::time_point epoch() const { return epoch_; }
+  /// The stack clock: real microseconds since epoch().
+  SimTime now() const { return micros_since(epoch_); }
 
  private:
   /// A delivery, or a posted task when `posted` is set.
@@ -96,11 +108,6 @@ class ThreadTransport final : public Transport {
     bool scheduled = false;  // on the ready queue or held by a worker
   };
 
-  struct TimedPacket {
-    std::chrono::steady_clock::time_point due;
-    Packet packet;
-  };
-
   /// Appends to the lane (lane mutex held); true when the lane was idle and
   /// the caller must hand it to make_ready() once the mutex is released.
   static bool push_locked(Lane& lane, Task task);
@@ -110,7 +117,6 @@ class ThreadTransport final : public Transport {
   void worker_loop();
   /// Runs `site`'s tasks until its lane is empty (worker context).
   void run_lane(SiteId site);
-  void wire_loop();
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> workers_;
@@ -125,17 +131,18 @@ class ThreadTransport final : public Transport {
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   bool running_ = false;
-  /// Written holding both pool_mutex_ and wire_mutex_, so the delay stage
-  /// may read it under wire_mutex_ alone.
   bool stopping_ = false;
 
-  // Artificial-delay stage.
+  // Artificial-delay stage: the timer exists from start() while
+  // max_delay_us_ > 0; wire_mutex_ orders due times and channel sequence
+  // numbers.
   std::int64_t max_delay_us_;
   std::uint64_t rng_state_;
   std::mutex wire_mutex_;
-  std::condition_variable wire_cv_;
-  std::deque<TimedPacket> wire_queue_;  // kept sorted by due time
-  std::thread wire_thread_;
+  std::unique_ptr<ThreadTimerDriver> delay_;
+  // last_due_[from * n + to]: the due time of the channel's latest packet
+  // (sized only with a delay stage).
+  std::vector<SimTime> last_due_;
 
   // channel_seq_[from * n + to]: next FIFO sequence number on the channel.
   // Assigned inside the critical section that orders the enqueue (the wire
@@ -145,8 +152,7 @@ class ThreadTransport final : public Transport {
 
   // Tracing (sink set before start(); RingBufferSink::emit is thread-safe).
   obs::TraceSink* trace_ = nullptr;
-  std::chrono::steady_clock::time_point epoch_;
-  SimTime trace_now() const;
+  const std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace causim::net

@@ -13,24 +13,28 @@ void SimTimerDriver::schedule(SimTime delay_us, std::function<void()> fn) {
   simulator_.schedule_after(delay_us < 0 ? 0 : delay_us, std::move(fn));
 }
 
-ThreadTimerDriver::ThreadTimerDriver()
-    : epoch_(std::chrono::steady_clock::now()), thread_([this] { loop(); }) {}
-
-ThreadTimerDriver::~ThreadTimerDriver() { stop(); }
-
-SimTime ThreadTimerDriver::now() const {
+SimTime micros_since(std::chrono::steady_clock::time_point epoch) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
+             std::chrono::steady_clock::now() - epoch)
       .count();
 }
 
+ThreadTimerDriver::ThreadTimerDriver(std::chrono::steady_clock::time_point epoch)
+    : epoch_(epoch), thread_([this] { loop(); }) {}
+
+ThreadTimerDriver::~ThreadTimerDriver() { stop(); }
+
+SimTime ThreadTimerDriver::now() const { return micros_since(epoch_); }
+
 void ThreadTimerDriver::schedule(SimTime delay_us, std::function<void()> fn) {
-  const auto due =
-      std::chrono::steady_clock::now() + std::chrono::microseconds(delay_us < 0 ? 0 : delay_us);
+  schedule_at(now() + (delay_us < 0 ? 0 : delay_us), std::move(fn));
+}
+
+void ThreadTimerDriver::schedule_at(SimTime due_us, std::function<void()> fn) {
   {
     std::lock_guard lock(mutex_);
     if (stopping_) return;  // shutting down: the callback is droppable
-    Entry entry{due, std::move(fn)};
+    Entry entry{epoch_ + std::chrono::microseconds(due_us), std::move(fn)};
     const auto pos = std::upper_bound(
         queue_.begin(), queue_.end(), entry,
         [](const Entry& a, const Entry& b) { return a.due < b.due; });

@@ -7,7 +7,11 @@
 // real threads. SimTimerDriver delegates to sim::Simulator, so timer
 // firings are ordered by the same deterministic (time, seq) queue as every
 // other event; ThreadTimerDriver runs one background thread draining a
-// due-time-ordered queue in real microseconds.
+// due-time-ordered queue in real microseconds since an epoch it is given.
+// A thread stack hands every driver its transport's epoch
+// (ThreadTransport::epoch()), so the stack has one clock: the transport's
+// delay stage, the fault and reliability layers, the coalescers, the live
+// sampler and the sites all read the same microseconds.
 #pragma once
 
 #include <chrono>
@@ -57,23 +61,33 @@ class SimTimerDriver final : public TimerDriver {
   sim::Simulator& simulator_;
 };
 
+/// Real microseconds elapsed on the steady clock since `epoch`.
+SimTime micros_since(std::chrono::steady_clock::time_point epoch);
+
 /// Real-time driver: one background thread fires callbacks at their due
-/// steady-clock instants. stop() (and the destructor) discards callbacks
-/// that have not fired — for the layers using this driver that is always
-/// sound, because anything still pending is semantically droppable (a
-/// delayed lossy-channel packet or a retransmission for already-acked
-/// data).
+/// instants on the clock `epoch` defines. stop() (and the destructor)
+/// discards callbacks that have not fired — for the layers using this
+/// driver that is always sound, because anything still pending is
+/// droppable by then (a delayed lossy-channel packet, a retransmission for
+/// already-acked data, a sampler tick, or a delay-stage packet of a
+/// transport that has quiesced).
 class ThreadTimerDriver final : public TimerDriver {
  public:
-  ThreadTimerDriver();
+  /// `epoch` is time 0 of the clock this driver reads: the transport's
+  /// epoch in a thread stack, construction time by default.
+  explicit ThreadTimerDriver(
+      std::chrono::steady_clock::time_point epoch = std::chrono::steady_clock::now());
   ~ThreadTimerDriver() override;
 
   ThreadTimerDriver(const ThreadTimerDriver&) = delete;
   ThreadTimerDriver& operator=(const ThreadTimerDriver&) = delete;
 
-  /// Real microseconds since construction.
+  /// Real microseconds since the epoch.
   SimTime now() const override;
   void schedule(SimTime delay_us, std::function<void()> fn) override;
+  /// Runs `fn` once now() reaches `due_us`. Callbacks fire in due order,
+  /// and ones due at the same instant in scheduling order.
+  void schedule_at(SimTime due_us, std::function<void()> fn);
 
   /// Joins the timer thread; pending callbacks are discarded. Idempotent.
   void stop() override;

@@ -1,8 +1,6 @@
 #include "obs/analysis/analysis.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
@@ -10,33 +8,24 @@ namespace causim::obs::analysis {
 
 namespace {
 
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 void write_summary(std::ostream& out, const stats::Summary& s) {
-  out << "{\"count\": " << s.count() << ", \"mean\": " << num(s.mean())
-      << ", \"min\": " << num(s.min()) << ", \"max\": " << num(s.max()) << "}";
+  out << "{\"count\": " << s.count() << ", \"mean\": " << json_number(s.mean())
+      << ", \"min\": " << json_number(s.min()) << ", \"max\": " << json_number(s.max())
+      << "}";
 }
 
 void write_activation(std::ostream& out, const ActivationStats& a,
                       const stats::Histogram* hist) {
   out << "{\"applies\": " << a.applies << ", \"buffered\": " << a.buffered
       << ", \"latency_us\": {\"count\": " << a.latency_us.count()
-      << ", \"mean\": " << num(a.latency_us.mean())
-      << ", \"min\": " << num(a.latency_us.min())
-      << ", \"max\": " << num(a.latency_us.max());
+      << ", \"mean\": " << json_number(a.latency_us.mean())
+      << ", \"min\": " << json_number(a.latency_us.min())
+      << ", \"max\": " << json_number(a.latency_us.max());
   if (hist != nullptr) {
-    out << ", \"p50\": " << num(hist->quantile(0.50))
-        << ", \"p90\": " << num(hist->quantile(0.90))
-        << ", \"p99\": " << num(hist->quantile(0.99))
-        << ", \"p999\": " << num(hist->quantile(0.999));
+    out << ", \"p50\": " << json_number(hist->quantile(0.50))
+        << ", \"p90\": " << json_number(hist->quantile(0.90))
+        << ", \"p99\": " << json_number(hist->quantile(0.99))
+        << ", \"p999\": " << json_number(hist->quantile(0.999));
   }
   out << "}}";
 }
@@ -49,7 +38,7 @@ void write_kind_breakdown(std::ostream& out,
     const KindBreakdown& k = kinds[static_cast<std::size_t>(kind)];
     out << (first ? "" : ", ") << "\"" << causim::to_string(kind)
         << "\": {\"count\": " << k.count << ", \"bytes\": " << k.bytes
-        << ", \"avg\": " << num(k.avg()) << "}";
+        << ", \"avg\": " << json_number(k.avg()) << "}";
     first = false;
   }
   out << "}";
@@ -263,7 +252,8 @@ void AnalysisReport::write_json(std::ostream& out) const {
     bool p_first = true;
     for (const OccupancyPoint& p : occ.series) {
       out << (p_first ? "" : ", ") << "{\"ts\": " << p.ts
-          << ", \"entries\": " << num(p.entries) << ", \"bytes\": " << num(p.bytes)
+          << ", \"entries\": " << json_number(p.entries)
+          << ", \"bytes\": " << json_number(p.bytes)
           << "}";
       p_first = false;
     }
@@ -288,8 +278,9 @@ void diff_value(std::ostream& out, const Json& a, const Json& b) {
         if (a.number() == b.number()) {
           a.write(out);
         } else {
-          out << "{\"a\": " << num(a.number()) << ", \"b\": " << num(b.number())
-              << ", \"delta\": " << num(b.number() - a.number()) << "}";
+          out << "{\"a\": " << json_number(a.number())
+              << ", \"b\": " << json_number(b.number())
+              << ", \"delta\": " << json_number(b.number() - a.number()) << "}";
         }
         return;
       case Json::Type::kObject: {

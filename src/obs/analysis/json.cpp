@@ -12,18 +12,6 @@ namespace {
 
 const Json kNullJson{};
 
-/// Matches the registry/report writers: integral values print without a
-/// fraction, everything else with enough digits to round-trip a double.
-std::string num_string(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 void append_utf8(std::string& out, unsigned cp) {
   if (cp < 0x80) {
     out += static_cast<char>(cp);
@@ -43,6 +31,16 @@ void append_utf8(std::string& out, unsigned cp) {
 }
 
 }  // namespace
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    return std::to_string(static_cast<long long>(v));
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -294,7 +292,7 @@ void Json::write(std::ostream& out) const {
       out << (bool_ ? "true" : "false");
       return;
     case Type::kNumber:
-      out << num_string(number_);
+      out << json_number(number_);
       return;
     case Type::kString:
       out << '"' << json_escape(string_) << '"';

@@ -24,6 +24,12 @@ namespace causim::obs::analysis {
 /// repo so a hostile metric name cannot corrupt an export.
 std::string json_escape(std::string_view s);
 
+/// Formats `v` as a JSON number, the one formatter of every JSON writer in
+/// the repo: integral values below 1e15 print without a fraction,
+/// everything else with %.9g, and non-finite values (which JSON cannot
+/// carry) as 0.
+std::string json_number(double v);
+
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -1,8 +1,6 @@
 #include "obs/analysis/provenance.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <utility>
@@ -12,16 +10,6 @@
 namespace causim::obs::analysis {
 
 namespace {
-
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 SiteId dep_writer(std::uint64_t packed) {
   return static_cast<SiteId>((packed >> 32) & 0xFFFFu);
@@ -35,12 +23,14 @@ bool dep_is_ordinal(std::uint64_t packed) {
   return (packed & kBlockingDepOrdinalBit) != 0;
 }
 
-/// The DES instant an event was *emitted* at. Instants are emitted at ts;
+/// The instant an event was *emitted* at. Instants are emitted at ts;
 /// kOpComplete / kActivated / kDepSatisfied are spans emitted when the span
 /// closes (ts + dur); kWireDelay is the exception — it is emitted at send
-/// time and its dur reaches into the future. Within one run this clock is
-/// non-decreasing, so a strict drop marks the boundary between concatenated
-/// runs (multi-seed experiments reuse one sink).
+/// time and its dur reaches into the future. Within one DES run this clock
+/// is non-decreasing; threads emit a few µs out of stamp order. A run that
+/// starts over from time 0 drops it far below everything seen so far, so
+/// falling under half the epoch's running maximum marks the boundary
+/// between concatenated runs (multi-seed experiments reuse one sink).
 SimTime emission_time(const TraceEvent& e) {
   switch (e.type) {
     case TraceEventType::kOpComplete:
@@ -70,8 +60,9 @@ struct EpochState {
 
 void write_stats(std::ostream& out, const SegmentStats& s) {
   const double mean = s.count > 0 ? s.total_us / static_cast<double>(s.count) : 0.0;
-  out << "{\"count\": " << s.count << ", \"total\": " << num(s.total_us)
-      << ", \"mean\": " << num(mean) << ", \"max\": " << num(s.max_us) << "}";
+  out << "{\"count\": " << s.count << ", \"total\": " << json_number(s.total_us)
+      << ", \"mean\": " << json_number(mean) << ", \"max\": " << json_number(s.max_us)
+      << "}";
 }
 
 std::string fmt_wid(WriteId w) {
@@ -98,8 +89,7 @@ ProvenanceReport analyze_provenance(const std::vector<TraceEvent>& events,
 
   EpochState epoch;
   std::uint32_t epoch_id = 0;
-  SimTime emit_clock = 0;
-  bool first_event = true;
+  SimTime epoch_max = 0;  // latest emission time of the current epoch
   std::vector<std::uint8_t> chain_closed;  // parallel to report.ops
 
   const auto find_open = [&](std::uint64_t wid, SiteId dest) -> std::size_t {
@@ -112,13 +102,12 @@ ProvenanceReport analyze_provenance(const std::vector<TraceEvent>& events,
       report.sites = std::max<SiteId>(report.sites, static_cast<SiteId>(e.site + 1));
     }
     const SimTime emitted = emission_time(e);
-    if (first_event) {
-      first_event = false;
-    } else if (emitted < emit_clock) {
+    if (emitted < epoch_max / 2) {
       ++epoch_id;
       epoch = EpochState{};
+      epoch_max = emitted;
     }
-    emit_clock = emitted;
+    epoch_max = std::max(epoch_max, emitted);
 
     switch (e.type) {
       case TraceEventType::kOpIssue:
@@ -354,10 +343,10 @@ void ProvenanceReport::write_json(std::ostream& out) const {
   write_stats(out, visibility);
   const double vis = visibility.total_us;
   const auto share = [&](double x) { return vis > 0 ? x / vis : 0.0; };
-  out << ",\n    \"share\": {\"wire\": " << num(share(wire.total_us))
-      << ", \"arq\": " << num(share(arq.total_us))
-      << ", \"dep_wait\": " << num(share(dep_wait.total_us))
-      << ", \"apply\": " << num(share(apply.total_us)) << "}";
+  out << ",\n    \"share\": {\"wire\": " << json_number(share(wire.total_us))
+      << ", \"arq\": " << json_number(share(arq.total_us))
+      << ", \"dep_wait\": " << json_number(share(dep_wait.total_us))
+      << ", \"apply\": " << json_number(share(apply.total_us)) << "}";
   // Link-scope split only with a cell map, so reports of flat runs stay
   // byte-identical to the pre-topology schema.
   if (scope_split) {
@@ -377,9 +366,10 @@ void ProvenanceReport::write_json(std::ostream& out) const {
   for (const auto& [site, s] : per_site) {
     out << (first ? "\n" : ",\n") << "    \"" << site
         << "\": {\"activated\": " << s.activated << ", \"buffered\": " << s.buffered
-        << ", \"wire_us\": " << num(s.wire_us) << ", \"arq_us\": " << num(s.arq_us)
-        << ", \"dep_wait_us\": " << num(s.dep_wait_us)
-        << ", \"visibility_us\": " << num(s.visibility_us) << "}";
+        << ", \"wire_us\": " << json_number(s.wire_us)
+        << ", \"arq_us\": " << json_number(s.arq_us)
+        << ", \"dep_wait_us\": " << json_number(s.dep_wait_us)
+        << ", \"visibility_us\": " << json_number(s.visibility_us) << "}";
     first = false;
   }
   out << "\n  },\n";
@@ -388,7 +378,8 @@ void ProvenanceReport::write_json(std::ostream& out) const {
   first = true;
   for (const auto& [writer, w] : blocked_on_writer) {
     out << (first ? "\n" : ",\n") << "      \"" << writer
-        << "\": {\"segments\": " << w.segments << ", \"wait_us\": " << num(w.wait_us)
+        << "\": {\"segments\": " << w.segments
+        << ", \"wait_us\": " << json_number(w.wait_us)
         << "}";
     first = false;
   }

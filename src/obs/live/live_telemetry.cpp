@@ -1,7 +1,6 @@
 #include "obs/live/live_telemetry.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <ostream>
 
@@ -9,16 +8,6 @@
 #include "obs/metrics_registry.hpp"
 
 namespace causim::obs::live {
-
-namespace {
-
-SimTime steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 /// One outstanding SM send awaiting its activation. `wire` and `dropped`
 /// are filled by the critpath instrument (first-hop kWireDelay / kDrop
@@ -147,7 +136,6 @@ LiveTelemetry::LiveTelemetry(const LiveConfig& config) : config_(config) {
   CAUSIM_CHECK(config.sites > 0 && config.variables > 0,
                "live telemetry needs the cluster shape: sites=" << config.sites
                                                                 << " variables=" << config.variables);
-  epoch_ns_ = steady_ns();
   const std::size_t n = config_.sites;
   shards_.reserve(n * n);
   for (std::size_t i = 0; i < n * n; ++i) shards_.push_back(std::make_unique<Shard>(config_));
@@ -171,8 +159,6 @@ void LiveTelemetry::begin_run(std::uint64_t seed) {
   run_seeds_.push_back(seed);
 }
 
-SimTime LiveTelemetry::wall_now() const { return (steady_ns() - epoch_ns_) / 1000; }
-
 void LiveTelemetry::on_send(const TraceEvent& event) {
   sends_.fetch_add(1, std::memory_order_relaxed);
   if (event.kind != MessageKind::kSM) return;
@@ -180,10 +166,9 @@ void LiveTelemetry::on_send(const TraceEvent& event) {
       event.a >= config_.variables) {
     return;  // not a site-to-site SM of this cluster's shape
   }
-  const SimTime t = use_event_ts_ ? event.ts : wall_now();
   Shard& s = shard(event.site, event.peer);
   std::lock_guard<std::mutex> lock(s.mutex);
-  const std::size_t at = s.queues[event.a].push(t);
+  const std::size_t at = s.queues[event.a].push(event.ts);
   if (critpath_ != nullptr) {
     s.awaiting_wire = true;
     s.awaiting_var = static_cast<VarId>(event.a);
@@ -231,7 +216,9 @@ void LiveTelemetry::on_activated(const TraceEvent& event) {
     unmatched_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const SimTime t_apply = use_event_ts_ ? event.ts : wall_now();
+  // The span is [receipt, apply): ts is the receipt, dur the buffered wait.
+  const SimTime t_recv = event.ts;
+  const SimTime t_apply = event.ts + event.dur;
   Shard& s = shard(event.peer, event.site);
   double latency_us = 0.0;
   PendingSend sent;
@@ -253,14 +240,10 @@ void LiveTelemetry::on_activated(const TraceEvent& event) {
   }
   matched_.fetch_add(1, std::memory_order_relaxed);
   if (critpath_ != nullptr) {
-    // True apply instant: ts is the receipt, dur the buffered wait.
-    const SimTime t_recv = event.ts;
-    const SimTime applied = use_event_ts_ ? event.ts + event.dur : wall_now();
     const SimTime transit = std::max<SimTime>(0, t_recv - sent.t);
     const SimTime wire = std::min(std::max<SimTime>(0, sent.wire), transit);
     const SimTime arq = transit - wire;
-    const SimTime dep_wait =
-        use_event_ts_ ? event.dur : std::max<SimTime>(0, applied - t_recv);
+    const SimTime dep_wait = event.dur;
     std::lock_guard<std::mutex> lock(critpath_->mutex);
     ++critpath_->ops;
     if (sent.dropped) ++critpath_->dropped_first_tx;

@@ -11,13 +11,15 @@
 //  * Visibility-latency tracker. Every SM send (kSend, kind = SM) pushes
 //    its origin timestamp onto a per-(origin site, destination site,
 //    variable) FIFO queue; the matching kActivated at the destination pops
-//    it and feeds `t_apply - t_send` into a per-site-pair log-bucketed
-//    histogram (p50/p90/p99/p999). The FIFO match is sound because causal
-//    delivery applies a sender's writes to one variable in program order —
-//    the k-th activation of (origin, var) at a site is the k-th send.
+//    it and feeds the visibility latency `t_apply - t_send` into a
+//    per-site-pair log-bucketed histogram (p50/p90/p99/p999). t_apply is
+//    the kActivated span's end, ts + dur: receipt plus the time the update
+//    waited buffered. The FIFO match is sound because causal delivery
+//    applies a sender's writes to one variable in program order — the k-th
+//    activation of (origin, var) at a site is the k-th send.
 //
 //  * Time-series sampler. A periodic driver (SimExecutor under the DES,
-//    engine::PooledExecutor's sampler thread under threads) calls
+//    engine::PooledExecutor's sampler timer under threads) calls
 //    record_sample() with the cluster-wide gauges; samples append to a
 //    pre-reserved buffer and serialize as a deterministic
 //    `causim.timeseries.v1` JSON stream. The same tick emits one
@@ -31,12 +33,11 @@
 // count, and the sample buffer to its cap (overflow increments a counter
 // instead of growing).
 //
-// Under the DES all timestamps are Simulator::now() and the whole output
-// is a pure function of (schedule, seed). Under threads, site-local events
-// carry ts = 0 (no engine clock); set_event_clock(false) makes the tracker
-// stamp sends/activations with its own steady clock at emit time instead,
-// which is exactly the wall-clock visibility latency. The thread sampler
-// stamps its ticks with wall_now(), the same clock.
+// The tracker keeps no clock of its own: every event arrives stamped at
+// its source on the stack clock — Simulator::now() under the DES, where
+// the whole output is a pure function of (schedule, seed), and
+// ThreadTransport::now() under threads — and the samplers stamp their
+// ticks with the same clock.
 #pragma once
 
 #include <atomic>
@@ -185,11 +186,6 @@ class LiveTelemetry final : public TraceSink {
   void set_downstream(TraceSink* sink) { downstream_ = sink; }
   TraceSink* downstream() const { return downstream_; }
 
-  /// True (default): trust TraceEvent::ts (the DES clock). False: stamp
-  /// sends/activations with this object's steady clock at emit time — the
-  /// thread substrate leaves site-local timestamps at 0.
-  void set_event_clock(bool use_event_ts) { use_event_ts_ = use_event_ts; }
-
   /// Marks the start of the next seed's run inside one cell; subsequent
   /// time samples carry the new run ordinal. Histograms keep accumulating
   /// across runs (per-seed queues drain to empty at quiescence).
@@ -199,15 +195,11 @@ class LiveTelemetry final : public TraceSink {
   void emit(const TraceEvent& event) override;
 
   // -- sampler side (called by the engine's periodic driver) --
-  /// Appends one row stamped `now`: the DES clock, or wall_now() under
-  /// threads.
+  /// Appends one row stamped `now`, a reading of the stack clock.
   void record_sample(SimTime now, const StackGauges& gauges);
   std::uint64_t samples_recorded() const {
     return samples_taken_.load(std::memory_order_relaxed);
   }
-  /// µs since construction on this object's steady clock (the thread
-  /// substrate's event and sample timestamps).
-  SimTime wall_now() const;
 
   // -- results --
   std::uint64_t ops() const { return ops_.load(std::memory_order_relaxed); }
@@ -263,8 +255,6 @@ class LiveTelemetry final : public TraceSink {
 
   LiveConfig config_;
   TraceSink* downstream_ = nullptr;
-  bool use_event_ts_ = true;
-  SimTime epoch_ns_ = 0;  // steady-clock construction instant
 
   std::vector<std::unique_ptr<Shard>> shards_;  // sites × sites
   std::unique_ptr<Critpath> critpath_;          // null unless enabled

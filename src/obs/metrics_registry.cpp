@@ -1,7 +1,5 @@
 #include "obs/metrics_registry.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "obs/analysis/json.hpp"
@@ -11,6 +9,7 @@ namespace causim::obs {
 namespace {
 
 using analysis::json_escape;
+using analysis::json_number;
 
 /// RFC 4180 field quoting: names containing a comma, quote or newline are
 /// wrapped in quotes with inner quotes doubled, so a hostile metric name
@@ -26,22 +25,10 @@ std::string csv_field(const std::string& s) {
   return out;
 }
 
-/// JSON-safe number rendering: integral values print without a fraction,
-/// everything else with enough digits to round-trip a double.
-std::string num(double v) {
-  if (!std::isfinite(v)) return "0";
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 void write_summary_fields(std::ostream& out, const stats::Summary& s) {
-  out << "\"count\": " << s.count() << ", \"mean\": " << num(s.mean())
-      << ", \"min\": " << num(s.min()) << ", \"max\": " << num(s.max())
-      << ", \"stddev\": " << num(s.stddev());
+  out << "\"count\": " << s.count() << ", \"mean\": " << json_number(s.mean())
+      << ", \"min\": " << json_number(s.min()) << ", \"max\": " << json_number(s.max())
+      << ", \"stddev\": " << json_number(s.stddev());
 }
 
 }  // namespace
@@ -102,7 +89,8 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   first = true;
   for (const auto& [name, g] : gauges_) {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": {\"value\": "
-        << num(g.value()) << ", \"high_water\": " << num(g.high_water()) << "}";
+        << json_number(g.value()) << ", \"high_water\": " << json_number(g.high_water())
+        << "}";
     first = false;
   }
   out << "\n  },\n  \"summaries\": {";
@@ -118,12 +106,12 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   for (const auto& [name, h] : histograms_) {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": {";
     write_summary_fields(out, h.summary());
-    out << ", \"lo\": " << num(h.lo()) << ", \"hi\": " << num(h.hi())
+    out << ", \"lo\": " << json_number(h.lo()) << ", \"hi\": " << json_number(h.hi())
         << ", \"buckets\": " << h.bucket_count() << ", \"overflow\": " << h.overflow()
-        << ", \"quantiles\": {\"p50\": " << num(h.quantile(0.50))
-        << ", \"p90\": " << num(h.quantile(0.90))
-        << ", \"p99\": " << num(h.quantile(0.99))
-        << ", \"p999\": " << num(h.quantile(0.999)) << "}";
+        << ", \"quantiles\": {\"p50\": " << json_number(h.quantile(0.50))
+        << ", \"p90\": " << json_number(h.quantile(0.90))
+        << ", \"p99\": " << json_number(h.quantile(0.99))
+        << ", \"p999\": " << json_number(h.quantile(0.999)) << "}";
     out << "}";
     first = false;
   }
@@ -136,23 +124,24 @@ void MetricsRegistry::write_csv(std::ostream& out) const {
     out << csv_field(name) << ",counter,value," << c.value() << "\n";
   }
   for (const auto& [name, g] : gauges_) {
-    out << csv_field(name) << ",gauge,value," << num(g.value()) << "\n";
-    out << csv_field(name) << ",gauge,high_water," << num(g.high_water()) << "\n";
+    out << csv_field(name) << ",gauge,value," << json_number(g.value()) << "\n";
+    out << csv_field(name) << ",gauge,high_water," << json_number(g.high_water()) << "\n";
   }
   const auto summary_rows = [&](const std::string& name, const char* type,
                                 const stats::Summary& s) {
     out << csv_field(name) << "," << type << ",count," << s.count() << "\n";
-    out << csv_field(name) << "," << type << ",mean," << num(s.mean()) << "\n";
-    out << csv_field(name) << "," << type << ",min," << num(s.min()) << "\n";
-    out << csv_field(name) << "," << type << ",max," << num(s.max()) << "\n";
+    out << csv_field(name) << "," << type << ",mean," << json_number(s.mean()) << "\n";
+    out << csv_field(name) << "," << type << ",min," << json_number(s.min()) << "\n";
+    out << csv_field(name) << "," << type << ",max," << json_number(s.max()) << "\n";
   };
   for (const auto& [name, s] : summaries_) summary_rows(name, "summary", s);
   for (const auto& [name, h] : histograms_) {
     summary_rows(name, "histogram", h.summary());
-    out << csv_field(name) << ",histogram,p50," << num(h.quantile(0.50)) << "\n";
-    out << csv_field(name) << ",histogram,p90," << num(h.quantile(0.90)) << "\n";
-    out << csv_field(name) << ",histogram,p99," << num(h.quantile(0.99)) << "\n";
-    out << csv_field(name) << ",histogram,p999," << num(h.quantile(0.999)) << "\n";
+    out << csv_field(name) << ",histogram,p50," << json_number(h.quantile(0.50)) << "\n";
+    out << csv_field(name) << ",histogram,p90," << json_number(h.quantile(0.90)) << "\n";
+    out << csv_field(name) << ",histogram,p99," << json_number(h.quantile(0.99)) << "\n";
+    out << csv_field(name) << ",histogram,p999," << json_number(h.quantile(0.999))
+        << "\n";
     out << csv_field(name) << ",histogram,overflow," << h.overflow() << "\n";
   }
 }

@@ -130,8 +130,9 @@ struct TraceEvent {
   SiteId site = kInvalidSite;
   /// Other endpoint for message events; kInvalidSite otherwise.
   SiteId peer = kInvalidSite;
-  /// Timestamp: Simulator::now() microseconds under the DES; microseconds
-  /// since transport start under ThreadTransport.
+  /// Timestamp on the stack clock: Simulator::now() microseconds under the
+  /// DES; ThreadTransport::now(), microseconds since the transport's
+  /// construction, under threads.
   SimTime ts = 0;
   /// Span length in the same unit (0 for instants).
   SimTime dur = 0;

@@ -8,12 +8,16 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_support/experiment.hpp"
 #include "dsm/cluster.hpp"
 #include "dsm/thread_cluster.hpp"
 #include "engine/config.hpp"
+#include "engine/node_stack.hpp"
+#include "net/thread_transport.hpp"
+#include "obs/live/live_telemetry.hpp"
 #include "sim/latency.hpp"
 #include "sim/rng.hpp"
 #include "topo/topology.hpp"
@@ -238,6 +242,22 @@ TEST(NodeStackAssembly, ThreadClusterSharesTheSameAssembly) {
   cluster.execute(schedule_for(4, 11));
   EXPECT_TRUE(cluster.check().ok());
   EXPECT_GT(cluster.stack().buffer_pool().reuses(), 0u);
+}
+
+TEST(NodeStackAssembly, LiveTrackerNeedsTheStackClock) {
+  // The tracker keeps no clock of its own and reads only event stamps, so
+  // a wiring without a clock is refused rather than yielding a run whose
+  // latencies and trace have no time axis.
+  auto config = config_for(causal::ProtocolKind::kOptTrack, 4, 7);
+  obs::live::LiveConfig live_config;
+  live_config.sites = config.sites;
+  live_config.variables = config.variables;
+  obs::live::LiveTelemetry live(live_config);
+  config.live = &live;
+  net::ThreadTransport wire(config.sites);
+  NodeStack::Wiring wiring;
+  wiring.wire = &wire;
+  EXPECT_DEATH(NodeStack(config, std::move(wiring)), "needs the stack clock");
 }
 
 // ---------------------------------------------------------------------------

@@ -170,7 +170,6 @@ TEST_P(ObsLiveAllProtocols, OfflineReplayMatchesStreaming) {
 
   obs::live::LiveTelemetry offline(live_config_for(config));
   offline.begin_run(11);
-  offline.set_event_clock(true);  // recorded events carry DES timestamps
   obs::live::replay_events(ring.events(), offline);
 
   EXPECT_EQ(offline.ops(), online.ops());

@@ -12,11 +12,13 @@
 //  - The live critpath instrument (obs::live) is the streaming fold of the
 //    same decomposition: replaying the recorded trace into a fresh
 //    instance must reproduce the online summary exactly, and its totals
-//    must agree with the offline provenance report.
+//    and the live visibility latency must agree with the offline
+//    provenance report.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support/experiment.hpp"
@@ -206,6 +208,26 @@ TEST(Provenance, ConcatenatedRunsSplitIntoEpochs) {
   }
 }
 
+TEST(Provenance, ThreadSkewedEmissionStaysOneEpoch) {
+  // Threads stamp an event, then emit it a few µs later, so emission is
+  // not monotone inside one run: site 0's issue at 90 reaching the sink
+  // before site 1's wire delay at 70 must not start a new epoch.
+  std::vector<TraceEvent> trace = known_chain_trace();
+  std::swap(trace[5], trace[6]);
+  ASSERT_EQ(trace[5].ts, 90);
+  ASSERT_EQ(trace[6].ts, 70);
+
+  const ProvenanceReport report = analyze_provenance(trace);
+  EXPECT_EQ(report.epochs, 1u);
+  EXPECT_EQ(report.activated, 3u);
+  EXPECT_EQ(report.unresolved, 0u);
+  EXPECT_EQ(report.sum_mismatch, 0u);
+  const OpRecord* a = report.find_op({0, 1}, 2);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->dep_wait, 250);
+  EXPECT_EQ(a->visibility(), 650);
+}
+
 // -- real cluster runs ------------------------------------------------------
 
 dsm::ClusterConfig wide_latency_config(causal::ProtocolKind kind, SiteId n,
@@ -382,6 +404,11 @@ TEST_P(ProvenanceAllProtocols, LiveCritpathMatchesReplayAndOfflineReport) {
   EXPECT_DOUBLE_EQ(a.arq.total_us, report.arq.total_us);
   EXPECT_EQ(a.dep_wait.count, report.dep_wait.count);
   EXPECT_DOUBLE_EQ(a.dep_wait.total_us, report.dep_wait.total_us);
+  // One visibility definition: both folds measure send to apply, so the
+  // buffered wait is inside the live latency too.
+  const stats::Histogram visibility = online.visibility_histogram();
+  EXPECT_EQ(visibility.count(), report.visibility.count);
+  EXPECT_DOUBLE_EQ(visibility.summary().sum(), report.visibility.total_us);
   for (SiteId w = 0; w < n; ++w) {
     const auto it = report.blocked_on_writer.find(w);
     const double offline_wait =

@@ -46,7 +46,9 @@ structurally wrong:
             within a run, and every run entry carrying a seed.
   provenance — critical-path report (schema causim.provenance.v1): the
             op census is self-consistent (activated + unmatched = sends,
-            every blocker chain resolved, no segment-sum mismatches),
+            no send left unmatched — every analyzed trace comes from a
+            run that quiesced — every blocker chain resolved, no
+            segment-sum mismatches),
             the segment shares tile the visibility total, per-site
             totals sum to the grid totals, every top op's segments
             sum to its visibility latency exactly, and a link-scope split
@@ -375,6 +377,9 @@ def check_provenance(path: str) -> None:
             fail(f"{path}: ops census missing '{field}'")
     if ops["activated"] + ops["unmatched_sends"] != ops["sm_sends"]:
         fail(f"{path}: op census does not balance: {ops}")
+    if ops["unmatched_sends"] != 0:
+        fail(f"{path}: {ops['unmatched_sends']} SM send(s) never matched an "
+             f"activation (a quiesced run activates every send)")
     if ops["buffered"] > ops["activated"]:
         fail(f"{path}: buffered > activated: {ops}")
     if ops["unresolved"] != 0:
