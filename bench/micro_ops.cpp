@@ -12,9 +12,12 @@
 #include "dsm/cluster.hpp"
 #include "dsm/envelope.hpp"
 #include "dsm/thread_cluster.hpp"
+#include "net/reliable_channel.hpp"
+#include "net/sim_transport.hpp"
 #include "obs/live/live_telemetry.hpp"
 #include "obs/trace_sink.hpp"
 #include "serial/buffer_pool.hpp"
+#include "sim/latency.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "workload/schedule.hpp"
@@ -377,6 +380,71 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorThroughput);
+
+// One pooled packet through the DES wire with about 300 more in flight —
+// geo-des's steady queue depth: a send (latency draw, FIFO clamp, slab
+// slot, queue push) plus one step (queue pop, delivery to a handler that
+// recycles the bytes).
+void BM_SimTransportDeliver(benchmark::State& state) {
+  constexpr SiteId kSites = 16;
+  sim::Simulator simulator;
+  sim::UniformLatency latency(1 * kMillisecond, 5 * kMillisecond);
+  net::SimTransport wire(simulator, latency, kSites, 1);
+  serial::BufferPool pool;
+  struct Recycler final : net::PacketHandler {
+    serial::BufferPool* pool = nullptr;
+    void on_packet(net::Packet packet) override { pool->release(std::move(packet.bytes)); }
+  } sink;
+  sink.pool = &pool;
+  for (SiteId s = 0; s < kSites; ++s) wire.attach(s, &sink);
+  std::uint64_t i = 0;
+  const auto send = [&] {
+    serial::Bytes bytes = pool.acquire();
+    bytes.assign(96, static_cast<std::uint8_t>(i));
+    wire.send(static_cast<SiteId>(i % kSites), static_cast<SiteId>((7 * i + 3) % kSites),
+              std::move(bytes));
+    ++i;
+  };
+  for (int k = 0; k < 300; ++k) send();
+  for (auto _ : state) {
+    send();
+    simulator.step();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimTransportDeliver);
+
+// The reliable channel's common case: a DATA frame sent, received in
+// order and released, then cumulatively acked. Arg: 0 = go-back-N, 1 =
+// selective repeat with adaptive RTO (geo-des's WAN policy).
+void BM_ReliableChannelInOrder(benchmark::State& state) {
+  net::ReliableConfig config;
+  if (state.range(0) == 1) {
+    config.arq = net::ArqMode::kSelectiveRepeat;
+    config.adaptive_rto = true;
+  }
+  serial::BufferPool pool;
+  net::ReliableChannel sender(config);
+  net::ReliableChannel receiver(config);
+  sender.set_buffer_pool(&pool);
+  receiver.set_buffer_pool(&pool);
+  const serial::Bytes payload(96, 0x5C);
+  SimTime now = 0;
+  for (auto _ : state) {
+    serial::Bytes frame = sender.send(payload, now);
+    net::ReliableChannel::Ingest data = receiver.on_frame(frame, now + 1);
+    pool.release(std::move(frame));
+    for (net::ReliableChannel::Released& r : data.released) {
+      pool.release(std::move(r.payload));
+    }
+    const net::ReliableChannel::Ingest ack = sender.on_frame(data.ack, now + 2);
+    benchmark::DoNotOptimize(ack.made_progress);
+    pool.release(std::move(data.ack));
+    now += 3;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReliableChannelInOrder)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -1,12 +1,14 @@
 #include "causal/opt_track_crp.hpp"
 
+#include <algorithm>
+
 #include "common/panic.hpp"
 
 namespace causim::causal {
 
 namespace {
 
-void serialize_log(const std::map<SiteId, WriteClock>& log, serial::ByteWriter& w) {
+void serialize_log(const OptTrackCrp::Log& log, serial::ByteWriter& w) {
   w.put_u16(static_cast<std::uint16_t>(log.size()));
   for (const auto& [site, clock] : log) {
     w.put_site(site);
@@ -14,14 +16,26 @@ void serialize_log(const std::map<SiteId, WriteClock>& log, serial::ByteWriter& 
   }
 }
 
-std::map<SiteId, WriteClock> deserialize_log(serial::ByteReader& r) {
+/// Decodes a piggybacked log into `out`. Sites must be below `n` and
+/// strictly increasing (what serialize_log writes); anything else fails
+/// the reader, and the caller's ok() check rejects the SM.
+void deserialize_log(serial::ByteReader& r, SiteId n, OptTrackCrp::Log& out) {
   const std::uint16_t count = r.get_u16();
-  std::map<SiteId, WriteClock> log;
+  if (count > n) {
+    r.fail();  // n strictly increasing sites below n at most
+    return;
+  }
+  out.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
     const SiteId site = r.get_site();
-    log[site] = static_cast<WriteClock>(r.get_clock());
+    const auto clock = static_cast<WriteClock>(r.get_clock());
+    if (!r.ok()) return;
+    if (site >= n || (!out.empty() && site <= out.back().first)) {
+      r.fail();
+      return;
+    }
+    out.emplace_back(site, clock);
   }
-  return log;
 }
 
 }  // namespace
@@ -29,6 +43,13 @@ std::map<SiteId, WriteClock> deserialize_log(serial::ByteReader& r) {
 OptTrackCrp::OptTrackCrp(SiteId self, SiteId n, ProtocolOptions options)
     : self_(self), n_(n), options_(options), apply_(n, 0) {
   CAUSIM_CHECK(self < n, "site id " << self << " out of range for n=" << n);
+}
+
+void OptTrackCrp::set_last_write(VarId var, WriteId w) {
+  if (var >= last_write_on_.size()) last_write_on_.resize(static_cast<std::size_t>(var) + 1);
+  WriteId& slot = last_write_on_[var];
+  if (is_null(slot)) ++last_write_count_;
+  slot = w;
 }
 
 WriteId OptTrackCrp::local_write(VarId var, const Value& v, const DestSet& dests,
@@ -42,28 +63,35 @@ WriteId OptTrackCrp::local_write(VarId var, const Value& v, const DestSet& dests
   // write becomes the single entry representing the whole causal past.
   serialize_log(log_, meta_out);
   const std::size_t before = log_.size();
-  log_.clear();
-  log_[self_] = clock_;
+  log_.assign(1, LogEntry{self_, clock_});
   if (before > 1) notify_prune(before, log_.size());
   apply_[self_] = clock_;
-  last_write_on_[var] = w;
+  set_last_write(var, w);
   return w;
 }
 
 void OptTrackCrp::local_read(VarId var) {
-  const auto it = last_write_on_.find(var);
-  if (it == last_write_on_.end()) return;  // variable still ⊥
+  if (var >= last_write_on_.size() || is_null(last_write_on_[var])) return;  // still ⊥
+  const WriteId w = last_write_on_[var];
   // One entry per writer: a newer read of the same writer's value
   // supersedes the older entry (§III-C).
   const std::size_t before = log_.size();
-  WriteClock& slot = log_[it->second.writer];
-  slot = std::max(slot, it->second.clock);
+  const auto it = std::lower_bound(
+      log_.begin(), log_.end(), w.writer,
+      [](const LogEntry& e, SiteId site) { return e.first < site; });
+  if (it != log_.end() && it->first == w.writer) {
+    it->second = std::max(it->second, w.clock);
+  } else {
+    log_.insert(it, LogEntry{w.writer, w.clock});
+  }
   notify_merge(before, 1, log_.size());
 }
 
 std::unique_ptr<PendingUpdate> OptTrackCrp::decode_sm(SmEnvelope env, DestSet dests,
                                                       serial::ByteReader& meta) {
-  return std::make_unique<Pending>(env, std::move(dests), deserialize_log(meta));
+  auto pending = std::make_unique<Pending>(env, std::move(dests));
+  deserialize_log(meta, n_, pending->piggyback);
+  return pending;
 }
 
 bool OptTrackCrp::ready(const PendingUpdate& u) const {
@@ -82,8 +110,8 @@ BlockingDep OptTrackCrp::blocking_dep(const PendingUpdate& u) const {
   const auto& p = static_cast<const Pending&>(u);
   const SiteId w = p.env().write.writer;
   // Program order first (full replication: apply_[w] is w's writer clock),
-  // then the first failing piggybacked dependency — std::map iteration is
-  // site-ordered, so the choice is deterministic.
+  // then the first failing piggybacked dependency — the piggyback is
+  // site-sorted, so the choice is deterministic.
   if (p.env().write.clock != apply_[w] + 1) return BlockingDep{w, apply_[w] + 1};
   for (const auto& [site, clock] : p.piggyback) {
     if (apply_[site] < clock) return BlockingDep{site, clock};
@@ -98,7 +126,7 @@ void OptTrackCrp::apply(PendingUpdate& u) {
   apply_[w.writer] = w.clock;
   // Only the write itself is associated with the variable: once it is
   // applied in causal order, so is its entire causal past (§III-C).
-  last_write_on_[p.env().var] = w;
+  set_last_write(p.env().var, w);
 }
 
 void OptTrackCrp::remote_return_meta(VarId, serial::ByteWriter&) const {
@@ -122,7 +150,7 @@ std::size_t OptTrackCrp::local_meta_bytes() const {
   const auto cw = static_cast<std::size_t>(options_.clock_width);
   std::size_t bytes = 2 + log_.size() * (2 + cw);  // the local log
   bytes += static_cast<std::size_t>(n_) * cw;      // Apply_i
-  bytes += last_write_on_.size() * (2 + cw);       // LastWriteOn 2-tuples
+  bytes += last_write_count_ * (2 + cw);           // LastWriteOn 2-tuples
   return bytes;
 }
 

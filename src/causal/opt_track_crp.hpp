@@ -11,10 +11,19 @@
 //   * the log keeps at most one entry per writer (reads of values written
 //     by the same process supersede each other), so it holds at most
 //     d + 1 <= n entries, where d = local reads since the last local write.
+//
+// Every structure is flat. The log and each SM's decoded piggyback are
+// site-sorted (site, clock) vectors, and LastWriteOn is a VarId-indexed
+// vector grown on the first write to a variable (nothing is sized at
+// construction). The piggyback decoder is strict: a site id >= n, or one
+// not strictly above the previous entry's, fails the reader, so a
+// malformed SM trips the runtime's "corrupt SM meta-data" check instead of
+// indexing Apply out of range. The encoder only writes strictly
+// increasing sites, so well-formed bytes are unaffected.
 #pragma once
 
-#include <map>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "causal/protocol.hpp"
 
@@ -47,16 +56,22 @@ class OptTrackCrp final : public Protocol {
   std::size_t log_entry_count() const override { return log_.size(); }
   std::size_t local_meta_bytes() const override;
 
+  /// One ⟨writer, clock⟩ 2-tuple; logs keep them sorted by writer.
+  using LogEntry = std::pair<SiteId, WriteClock>;
+  using Log = std::vector<LogEntry>;
+
   // White-box accessors for tests.
   WriteClock applied_clock(SiteId writer) const { return apply_[writer]; }
-  const std::map<SiteId, WriteClock>& log() const { return log_; }
+  const Log& log() const { return log_; }
 
  private:
   struct Pending final : PendingUpdate {
-    Pending(SmEnvelope e, DestSet d, std::map<SiteId, WriteClock> l)
-        : PendingUpdate(e, std::move(d)), piggyback(std::move(l)) {}
-    std::map<SiteId, WriteClock> piggyback;
+    using PendingUpdate::PendingUpdate;
+    Log piggyback;
   };
+
+  /// LastWriteOn⟨var⟩ := w, growing the table on a variable's first write.
+  void set_last_write(VarId var, WriteId w);
 
   SiteId self_;
   SiteId n_;
@@ -65,9 +80,12 @@ class OptTrackCrp final : public Protocol {
   /// Full replication: every write by ap_j reaches this site, so "highest
   /// clock applied" and "number applied" coincide.
   std::vector<WriteClock> apply_;
-  /// The local log: at most one ⟨writer, clock⟩ per writer.
-  std::map<SiteId, WriteClock> log_;
-  std::unordered_map<VarId, WriteId> last_write_on_;
+  /// The local log: at most one ⟨writer, clock⟩ per writer, site-sorted.
+  Log log_;
+  /// LastWriteOn⟨x⟩ at index x; a null WriteId (and any x past the end)
+  /// means the variable is still ⊥.
+  std::vector<WriteId> last_write_on_;
+  std::size_t last_write_count_ = 0;  // non-null LastWriteOn slots
 };
 
 }  // namespace causim::causal

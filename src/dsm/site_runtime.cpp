@@ -111,7 +111,7 @@ WriteId SiteRuntime::write(VarId var, std::uint32_t payload_bytes, bool record) 
   if (recorder_ != nullptr) recorder_->record_write(self_, var, w);
 
   if (dests.contains(self_)) {
-    store_[var] = {value, w};
+    store_locked(var, value, w);
     if (recorder_ != nullptr) recorder_->record_apply(self_, var, w);
   }
 
@@ -150,9 +150,7 @@ bool SiteRuntime::read(VarId var, ReadCallback done, bool record) {
 
   if (placement_.replicated_at(var, self_)) {
     protocol_->local_read(var);
-    const auto it = store_.find(var);
-    const auto [value, w] =
-        it == store_.end() ? std::pair<Value, WriteId>{} : it->second;
+    const auto [value, w] = stored_locked(var);
     if (recorder_ != nullptr) recorder_->record_read(self_, var, w, false, self_);
     if (record) sample_log_locked();
     {
@@ -200,6 +198,15 @@ void SiteRuntime::on_packet(net::Packet packet) {
   // The protocol decodes the meta-data straight from the frame; each
   // handler recycles the frame once that is done.
   const EnvelopeView frame = Envelope::view(packet.bytes, clock_width_);
+  // Protocols index per-site state with these ids, so a bad one is a
+  // corrupt frame, never an out-of-range read.
+  const SiteId n = protocol_->sites();
+  CAUSIM_CHECK(frame.env.sender < n, "envelope sender " << frame.env.sender
+                                         << " out of range for n=" << n
+                                         << " at site " << self_);
+  CAUSIM_CHECK(frame.env.kind != MessageKind::kSM || frame.env.write.writer < n,
+               "SM writer " << frame.env.write.writer << " out of range for n=" << n
+                            << " at site " << self_);
   switch (frame.env.kind) {
     case MessageKind::kSM:
       handle_sm(frame, packet.bytes);
@@ -289,8 +296,7 @@ void SiteRuntime::handle_fm(const EnvelopeView& frame, SiteId from, serial::Byte
 void SiteRuntime::serve_fm_locked(const Envelope& env, SiteId from) {
   serial::ByteWriter meta = meta_writer_locked();
   protocol_->remote_return_meta(env.var, meta);
-  const auto it = store_.find(env.var);
-  const auto [value, w] = it == store_.end() ? std::pair<Value, WriteId>{} : it->second;
+  const auto [value, w] = stored_locked(env.var);
   if (recorder_ != nullptr) recorder_->record_serve(self_, env.var, w);
 
   Envelope rm;
@@ -371,7 +377,7 @@ void SiteRuntime::drain_pending_locked() {
       const SimTime waited = queued.was_buffered ? now_locked() - queued.received : 0;
       if (waited > 0) apply_delay_.record(static_cast<double>(waited));
       const auto& env = queued.update->env();
-      store_[env.var] = {env.value, env.write};
+      store_locked(env.var, env.value, env.write);
       if (recorder_ != nullptr) recorder_->record_apply(self_, env.var, env.write);
       if (queued.blocker.valid()) {
         // Close the final blocker segment: its end is this apply (d = 0).
@@ -485,8 +491,16 @@ std::size_t SiteRuntime::pending_remote_fetches() const {
 
 std::pair<Value, WriteId> SiteRuntime::local_value(VarId var) const {
   std::lock_guard lock(mutex_);
-  const auto it = store_.find(var);
-  return it == store_.end() ? std::pair<Value, WriteId>{} : it->second;
+  return stored_locked(var);
+}
+
+std::pair<Value, WriteId> SiteRuntime::stored_locked(VarId var) const {
+  return var < store_.size() ? store_[var] : std::pair<Value, WriteId>{};
+}
+
+void SiteRuntime::store_locked(VarId var, const Value& value, WriteId w) {
+  if (var >= store_.size()) store_.resize(static_cast<std::size_t>(var) + 1);
+  store_[var] = {value, w};
 }
 
 stats::MessageStats SiteRuntime::message_stats() const {

@@ -21,8 +21,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "causal/protocol.hpp"
 #include "checker/history.hpp"
@@ -169,6 +169,10 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
   void trace_dep_progress_locked();
   void send_envelope(const Envelope& env, SiteId to, bool record);
   void sample_log_locked();
+  /// The variable's stored value and write (⊥ and a null id if never
+  /// written here).
+  std::pair<Value, WriteId> stored_locked(VarId var) const;
+  void store_locked(VarId var, const Value& value, WriteId w);
   /// Meta-data writer backed by a pooled buffer when a pool is attached.
   serial::ByteWriter meta_writer_locked() const;
   void recycle_locked(serial::Bytes&& bytes);
@@ -225,7 +229,9 @@ class SiteRuntime final : public net::PacketHandler, private causal::ProtocolObs
     std::unique_ptr<causal::PendingReturn> decoded;
   };
 
-  std::unordered_map<VarId, std::pair<Value, WriteId>> store_;
+  /// The local replicas, indexed by VarId and grown on a variable's first
+  /// write here: a slot past the end, or never written, holds ⊥.
+  std::vector<std::pair<Value, WriteId>> store_;
   std::deque<QueuedUpdate> pending_;
   std::deque<HeldFetch> held_fetches_;
   std::optional<PendingFetch> fetch_;

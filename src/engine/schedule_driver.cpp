@@ -40,32 +40,34 @@ void ScheduleDriver::dispatch(SiteId s, const workload::Op& op,
 // ---------------------------------------------------------------------------
 
 void SimExecutor::play(ScheduleDriver& driver, const workload::Schedule& schedule) {
+  driver_ = &driver;
   schedule_ = &schedule;
   cursor_.assign(stack_.sites(), 0);
-  for (SiteId s = 0; s < stack_.sites(); ++s) issue_next(driver, s);
+  for (SiteId s = 0; s < stack_.sites(); ++s) issue_next(s);
   if (stack_.config().live != nullptr &&
       stack_.config().live->sample_interval() > 0) {
     simulator_.schedule_at(simulator_.now(), [this] { sample_live(); });
   }
   simulator_.run();
   schedule_ = nullptr;
+  driver_ = nullptr;
 }
 
-void SimExecutor::issue_next(ScheduleDriver& driver, SiteId s) {
+void SimExecutor::issue_next(SiteId s) {
   const auto& ops = schedule_->per_site[s];
   if (cursor_[s] >= ops.size()) return;  // this site's application finished
   const SimTime at = std::max(simulator_.now(), ops[cursor_[s]].at);
-  simulator_.schedule_at(at, [this, &driver, s] { run_op(driver, s); });
+  simulator_.schedule_at(at, [this, s] { run_op(s); });
 }
 
-void SimExecutor::run_op(ScheduleDriver& driver, SiteId s) {
+void SimExecutor::run_op(SiteId s) {
   const workload::Op& op = schedule_->per_site[s][cursor_[s]];
   // Writes complete inline; remote reads resume the site's schedule from
   // the RM continuation — either way the next op is only issued after
   // `done`, which is the blocking-fetch rule.
-  driver.dispatch(s, op, [this, &driver, s] {
+  driver_->dispatch(s, op, [this, s] {
     ++cursor_[s];
-    issue_next(driver, s);
+    issue_next(s);
   });
 }
 

@@ -98,12 +98,15 @@ class SimExecutor final : public Executor {
   void finish() override {}
 
  private:
-  void issue_next(ScheduleDriver& driver, SiteId s);
-  void run_op(ScheduleDriver& driver, SiteId s);
+  // The op-issue and completion actions capture only (this, site), so
+  // std::function stores them inline: playing an op allocates nothing.
+  void issue_next(SiteId s);
+  void run_op(SiteId s);
   void sample_live();
 
   NodeStack& stack_;
   sim::Simulator& simulator_;
+  ScheduleDriver* driver_ = nullptr;  // set for the duration of play()
   const workload::Schedule* schedule_ = nullptr;
   std::vector<std::size_t> cursor_;
 };

@@ -14,13 +14,15 @@ FaultInjector::FaultInjector(net::Transport& inner, net::TimerDriver& timer,
     : inner_(inner),
       timer_(timer),
       plan_(std::move(plan)),
+      n_(inner.size()),
+      channel_faults_(static_cast<std::size_t>(n_) * n_, plan_.default_faults),
       rng_(seed, /*stream=*/0x6661'756c'7473ULL) {
   for (const auto& [channel, faults] : plan_.channel_overrides) {
-    CAUSIM_CHECK(channel.first < inner_.size() && channel.second < inner_.size(),
+    CAUSIM_CHECK(channel.first < n_ && channel.second < n_,
                  "fault plan overrides channel (" << channel.first << ", "
                                                   << channel.second
                                                   << ") outside the cluster");
-    (void)faults;
+    channel_faults_[static_cast<std::size_t>(channel.first) * n_ + channel.second] = faults;
   }
   for (const PauseWindow& w : plan_.pauses) {
     CAUSIM_CHECK(w.site < inner_.size(), "pause window for site " << w.site
@@ -50,7 +52,9 @@ void FaultInjector::set_trace_sink(obs::TraceSink* sink) {
 }
 
 void FaultInjector::send(SiteId from, SiteId to, serial::Bytes bytes) {
-  const ChannelFaults& faults = plan_.for_channel(from, to);
+  CAUSIM_CHECK(from < n_ && to < n_,
+               "send on channel (" << from << ", " << to << ") outside the cluster");
+  const ChannelFaults& faults = channel_faults_[static_cast<std::size_t>(from) * n_ + to];
   bool drop = false;
   bool dup = false;
   SimTime delay = 0;

@@ -15,10 +15,15 @@
 // layer's app-level counters are the ones that must balance. What the
 // injector did is reported separately through export_metrics() (faults.*)
 // and kDrop trace events.
+//
+// The plan's per-channel lookup is resolved once, at construction, into an
+// n × n table of ChannelFaults, so a send reads its channel's rates by
+// index instead of searching the plan's override map.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <vector>
 
 #include "faults/fault_plan.hpp"
 #include "net/timer.hpp"
@@ -66,6 +71,10 @@ class FaultInjector final : public net::Transport {
   net::Transport& inner_;
   net::TimerDriver& timer_;
   const FaultPlan plan_;
+  const SiteId n_;
+  /// channel_faults_[from * n + to]: the channel's override in plan_, or
+  /// its default_faults.
+  std::vector<ChannelFaults> channel_faults_;
 
   mutable std::mutex mutex_;
   sim::Pcg32 rng_;

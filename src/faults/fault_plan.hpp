@@ -53,11 +53,6 @@ struct FaultPlan {
   std::map<std::pair<SiteId, SiteId>, ChannelFaults> channel_overrides;
   std::vector<PauseWindow> pauses;
 
-  const ChannelFaults& for_channel(SiteId from, SiteId to) const {
-    const auto it = channel_overrides.find({from, to});
-    return it == channel_overrides.end() ? default_faults : it->second;
-  }
-
   /// True when a packet touching `site` at time `at` falls in a pause window.
   bool paused(SiteId site, SimTime at) const {
     for (const PauseWindow& w : pauses) {

@@ -62,7 +62,7 @@ serial::Bytes ReliableChannel::pooled_copy(const serial::Bytes& bytes) const {
 serial::Bytes ReliableChannel::send(const serial::Bytes& payload, SimTime now) {
   const std::uint64_t seq = next_seq_++;
   serial::Bytes frame = make_frame(kDataFrame, seq, &payload);
-  unacked_.emplace(seq, Outstanding{pooled_copy(frame), now, now, false, false});
+  unacked_.push_back(Outstanding{pooled_copy(frame), now, now, false, false});
   return frame;
 }
 
@@ -73,14 +73,14 @@ bool ReliableChannel::skip_sacked(std::uint64_t seq, const Outstanding& frame) c
   // clear them lost. The receiver holds (or has delivered) all of them, so
   // resending the lowest frame is a pure ACK-eliciting probe — without it
   // the channel would wedge.
-  return !(sacked_outstanding_ == unacked_.size() && seq == unacked_.begin()->first);
+  return !(sacked_outstanding_ == unacked_.size() && seq == first_unacked());
 }
 
 SimTime ReliableChannel::next_deadline() const {
   SimTime deadline = std::numeric_limits<SimTime>::max();
-  for (const auto& [seq, frame] : unacked_) {
-    if (skip_sacked(seq, frame)) continue;
-    deadline = std::min(deadline, frame.last_tx + rto_);
+  std::uint64_t seq = first_unacked();
+  for (const Outstanding& frame : unacked_) {
+    if (!skip_sacked(seq++, frame)) deadline = std::min(deadline, frame.last_tx + rto_);
   }
   return deadline;
 }
@@ -89,15 +89,17 @@ std::vector<ReliableChannel::Frame> ReliableChannel::on_timer(SimTime now) {
   std::vector<Frame> out;
   if (unacked_.empty()) return out;
   out.reserve(unacked_.size());
-  for (auto& [seq, frame] : unacked_) {
-    if (skip_sacked(seq, frame)) continue;
+  std::uint64_t seq = first_unacked();
+  for (Outstanding& frame : unacked_) {
+    const std::uint64_t this_seq = seq++;
+    if (skip_sacked(this_seq, frame)) continue;
     // Age gate (adaptive only): a frame still legitimately in flight —
     // transmitted less than one RTO ago — is not resent just because an
     // older frame's timer happened to fire.
     if (config_.adaptive_rto && now - frame.last_tx < rto_) continue;
     frame.retransmitted = true;
     frame.last_tx = now;
-    out.push_back(Frame{seq, pooled_copy(frame.bytes)});
+    out.push_back(Frame{this_seq, pooled_copy(frame.bytes)});
     ++retransmits_;
   }
   if (!out.empty()) {
@@ -192,25 +194,26 @@ ReliableChannel::Ingest ReliableChannel::ingest_ack(std::uint8_t tag,
   SimTime sample_base = -1;
 
   // Cumulative: `value` is the peer's next_expected, acking all seq < value.
-  while (!unacked_.empty() && unacked_.begin()->first < value) {
-    Outstanding& frame_state = unacked_.begin()->second;
+  while (!unacked_.empty() && first_unacked() < value) {
+    Outstanding& frame_state = unacked_.front();
     if (frame_state.sacked) --sacked_outstanding_;
     if (!frame_state.retransmitted) {
       sample_base = std::max(sample_base, frame_state.first_tx);
     }
     if (pool_ != nullptr) pool_->release(std::move(frame_state.bytes));
-    unacked_.erase(unacked_.begin());
+    unacked_.pop_front();
     out.made_progress = true;
   }
   if (config_.arq == ArqMode::kSelectiveRepeat) {
     for (std::size_t i = 0; i < sack_count; ++i) {
-      const auto it = unacked_.find(read_u64(frame, sack_at + 8 * i));
-      if (it == unacked_.end() || it->second.sacked) continue;
-      it->second.sacked = true;
+      // Validated above: seq < next_seq_. Below the window means acked.
+      const std::uint64_t seq = read_u64(frame, sack_at + 8 * i);
+      if (seq < first_unacked()) continue;
+      Outstanding& held = unacked_[seq - first_unacked()];
+      if (held.sacked) continue;
+      held.sacked = true;
       ++sacked_outstanding_;
-      if (!it->second.retransmitted) {
-        sample_base = std::max(sample_base, it->second.first_tx);
-      }
+      if (!held.retransmitted) sample_base = std::max(sample_base, held.first_tx);
       out.made_progress = true;
     }
   }
@@ -242,22 +245,28 @@ ReliableChannel::Ingest ReliableChannel::on_frame(const serial::Bytes& frame,
     return out;
   }
   const std::uint64_t seq = frame_value(frame);
-  if (seq < next_expected_ || reorder_.count(seq) != 0) {
+  out.released = std::move(spare_released_);
+  const auto payload = [&] {
+    return pool_ != nullptr ? pool_->copy(frame.data() + kFrameHeaderBytes,
+                                          frame.size() - kFrameHeaderBytes)
+                            : serial::Bytes(frame.begin() + kFrameHeaderBytes, frame.end());
+  };
+  if (seq == next_expected_) {
+    // In order: released straight from the frame. Nothing at this seq can
+    // be buffered (the gap it fills only ever held later frames).
+    out.released.push_back(Released{seq, payload()});
+    ++next_expected_;
+    // It may have filled a gap: release the buffered run behind it.
+    while (!reorder_.empty() && reorder_.begin()->first == next_expected_) {
+      out.released.push_back(Released{next_expected_, std::move(reorder_.begin()->second)});
+      reorder_.erase(reorder_.begin());
+      ++next_expected_;
+    }
+  } else if (seq < next_expected_ || reorder_.count(seq) != 0) {
     out.was_duplicate = true;
     ++dup_suppressed_;
   } else {
-    reorder_.emplace(
-        seq, pool_ != nullptr
-                 ? pool_->copy(frame.data() + kFrameHeaderBytes,
-                               frame.size() - kFrameHeaderBytes)
-                 : serial::Bytes(frame.begin() + kFrameHeaderBytes, frame.end()));
-    while (true) {
-      auto it = reorder_.find(next_expected_);
-      if (it == reorder_.end()) break;
-      out.released.push_back(Released{next_expected_, std::move(it->second)});
-      reorder_.erase(it);
-      ++next_expected_;
-    }
+    reorder_.emplace(seq, payload());
   }
   // Every DATA frame is acked, duplicates included: the duplicate usually
   // means our previous ACK was lost.
@@ -307,7 +316,7 @@ void ReliableTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
     // The app payload was copied into the DATA frame; recycle the caller's
     // buffer instead of letting it drain the pool.
     if (pool_ != nullptr) pool_->release(std::move(bytes));
-    arm_locked(idx, from, to, now);
+    arm_locked(idx, now);
   }
   // Outside the lock: the inner transport never calls back synchronously,
   // but its own locks should not nest under ours. Two app threads racing
@@ -316,8 +325,7 @@ void ReliableTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
   inner_.send(from, to, std::move(frame));
 }
 
-void ReliableTransport::arm_locked(std::size_t idx, SiteId from, SiteId to,
-                                   SimTime now) {
+void ReliableTransport::arm_locked(std::size_t idx, SimTime now) {
   Chan& chan = chans_[idx];
   if (chan.timer_armed || !chan.channel.timer_needed()) return;
   chan.timer_armed = true;
@@ -328,10 +336,13 @@ void ReliableTransport::arm_locked(std::size_t idx, SiteId from, SiteId to,
     const SimTime deadline = chan.channel.next_deadline();
     delay = deadline > now ? deadline - now : 1;
   }
-  timer_.schedule(delay, [this, idx, from, to] { on_rto(idx, from, to); });
+  // (this, idx) fits std::function's inline buffer: arming allocates nothing.
+  timer_.schedule(delay, [this, idx] { on_rto(idx); });
 }
 
-void ReliableTransport::on_rto(std::size_t idx, SiteId from, SiteId to) {
+void ReliableTransport::on_rto(std::size_t idx) {
+  const auto from = static_cast<SiteId>(idx / n_);
+  const auto to = static_cast<SiteId>(idx % n_);
   const SimTime now = timer_.now();
   std::vector<ReliableChannel::Frame> frames;
   {
@@ -340,7 +351,7 @@ void ReliableTransport::on_rto(std::size_t idx, SiteId from, SiteId to) {
     chan.timer_armed = false;
     frames = chan.channel.on_timer(now);
     frames_sent_ += frames.size();
-    arm_locked(idx, from, to, now);
+    arm_locked(idx, now);
   }
   for (ReliableChannel::Frame& f : frames) {
     if (trace_ != nullptr) {
@@ -412,9 +423,9 @@ void ReliableTransport::on_packet(Packet packet) {
   std::vector<ReliableChannel::Released> released;
   serial::Bytes ack;
   PacketHandler* handler = nullptr;
+  const std::size_t idx = index(packet.from, packet.to);
   {
     std::lock_guard lock(mutex_);
-    const std::size_t idx = index(packet.from, packet.to);
     ReliableChannel::Ingest ingest = chans_[idx].channel.on_frame(packet.bytes, now);
     reorder_hwm_ = std::max(reorder_hwm_, chans_[idx].channel.reorder_buffered());
     released = std::move(ingest.released);
@@ -429,11 +440,14 @@ void ReliableTransport::on_packet(Packet packet) {
   CAUSIM_CHECK(handler != nullptr, "packet for unattached site " << packet.to);
   // Handlers run outside the lock: they may send (re-entering this layer)
   // and they take the site's own lock, which must never nest inside ours.
-  for (ReliableChannel::Released& r : released) {
+  for (std::size_t i = 0; i < released.size(); ++i) {
+    ReliableChannel::Released& r = released[i];
     handler->on_packet(Packet{packet.from, packet.to, r.seq, std::move(r.payload)});
     {
       std::lock_guard lock(mutex_);
       ++delivered_;
+      // The last release hands the vector back for the channel's next frame.
+      if (i + 1 == released.size()) chans_[idx].channel.recycle(std::move(released));
     }
     cv_.notify_all();
   }

@@ -26,7 +26,14 @@
 // ReliableChannel is the pure per-channel state machine — no transport,
 // no timers, no locks — so property tests can drive it through adversarial
 // drop/duplication/reordering sequences directly (tests/
-// test_reliable_channel.cpp). ReliableTransport composes n×n channels with
+// test_reliable_channel.cpp). Its common path takes no container node:
+// the sender keeps unacked frames in a deque indexed by sequence number
+// (the window is always contiguous), an in-order DATA frame is released
+// straight from the frame without entering the reorder map, and a caller
+// that hands Ingest::released back (recycle()) lets the next frame reuse
+// it. With a buffer pool attached, a send, its in-order receipt and its
+// cumulative ACK allocate nothing once warm but the window deque's chunk
+// (one per ten frames with libstdc++). ReliableTransport composes n×n channels with
 // an inner (typically fault-injected) Transport and a TimerDriver into a
 // drop-in net::Transport: protocol and runtime code above it still sees
 // the reliable FIFO substrate it was written against.
@@ -34,6 +41,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -185,6 +193,13 @@ class ReliableChannel {
   /// as in send().
   Ingest on_frame(const serial::Bytes& frame, SimTime now = 0);
 
+  /// Hands back a spent Ingest::released vector; the next DATA frame's
+  /// Ingest reuses its capacity instead of allocating. Optional.
+  void recycle(std::vector<Released>&& spent) {
+    spent.clear();
+    spare_released_ = std::move(spent);
+  }
+
   // ---- introspection ----
 
   /// The knobs this channel was built with (per-channel configs differ
@@ -220,6 +235,7 @@ class ReliableChannel {
     bool sacked = false;       // receiver holds it (selective repeat only)
   };
 
+  std::uint64_t first_unacked() const { return next_seq_ - unacked_.size(); }
   serial::Bytes make_ack();
   serial::Bytes make_frame(std::uint8_t tag, std::uint64_t value,
                            const serial::Bytes* payload) const;
@@ -239,7 +255,9 @@ class ReliableChannel {
 
   // sender half
   std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, Outstanding> unacked_;  // seq -> frame state
+  /// Frames sent and not yet cumulatively acked: seqs [first_unacked(),
+  /// next_seq_), one entry each, so a seq indexes its frame directly.
+  std::deque<Outstanding> unacked_;
   std::uint64_t retransmits_ = 0;
   std::uint64_t sacked_outstanding_ = 0;
   std::uint64_t acks_rejected_ = 0;
@@ -253,7 +271,10 @@ class ReliableChannel {
 
   // receiver half
   std::uint64_t next_expected_ = 0;
-  std::map<std::uint64_t, serial::Bytes> reorder_;  // seq -> payload
+  /// Out-of-order payloads (seq > next_expected_); an in-order frame is
+  /// released without passing through here.
+  std::map<std::uint64_t, serial::Bytes> reorder_;
+  std::vector<Released> spare_released_;  // see recycle()
   std::uint64_t dup_suppressed_ = 0;
   std::uint64_t acks_sent_ = 0;
 };
@@ -331,9 +352,10 @@ class ReliableTransport final : public Transport, public PacketHandler {
   std::size_t index(SiteId from, SiteId to) const {
     return static_cast<std::size_t>(from) * n_ + to;
   }
-  /// Arms the retransmission timer for the channel if needed (lock held).
-  void arm_locked(std::size_t idx, SiteId from, SiteId to, SimTime now);
-  void on_rto(std::size_t idx, SiteId from, SiteId to);
+  /// Arms the retransmission timer for channel `idx` (= from * n + to) if
+  /// needed (lock held).
+  void arm_locked(std::size_t idx, SimTime now);
+  void on_rto(std::size_t idx);
 
   Transport& inner_;
   TimerDriver& timer_;

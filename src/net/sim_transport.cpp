@@ -46,20 +46,33 @@ void SimTransport::send(SiteId from, SiteId to, serial::Bytes bytes) {
     e.b = p.bytes.size();
     trace_->emit(e);
   }
-  simulator_.schedule_at(at, [this, p = std::move(p)]() mutable {
-    ++delivered_;
-    if (trace_ != nullptr) {
-      obs::TraceEvent e;
-      e.type = obs::TraceEventType::kDeliver;
-      e.site = p.to;
-      e.peer = p.from;
-      e.ts = simulator_.now();
-      e.a = p.seq;
-      e.b = p.bytes.size();
-      trace_->emit(e);
-    }
-    handlers_[p.to]->on_packet(std::move(p));
-  });
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(p));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(p);
+  }
+  simulator_.schedule_at(at, [this, slot] { deliver(slot); });
+}
+
+void SimTransport::deliver(std::uint32_t slot) {
+  Packet p = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  ++delivered_;
+  if (trace_ != nullptr) {
+    obs::TraceEvent e;
+    e.type = obs::TraceEventType::kDeliver;
+    e.site = p.to;
+    e.peer = p.from;
+    e.ts = simulator_.now();
+    e.a = p.seq;
+    e.b = p.bytes.size();
+    trace_->emit(e);
+  }
+  handlers_[p.to]->on_packet(std::move(p));
 }
 
 }  // namespace causim::net

@@ -4,8 +4,14 @@
 // channel is enforced by never scheduling a delivery earlier than the
 // previous delivery on the same (from, to) channel (TCP gives exactly this
 // guarantee: arbitrary delay, order preserved).
+//
+// A packet in flight waits in a recycled slab, and its delivery event
+// captures only (this, slot), which std::function stores inline: once the
+// slab and the simulator's queue are warm, a send and its delivery
+// allocate nothing (the bytes themselves come from the caller's pool).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -29,6 +35,8 @@ class SimTransport final : public Transport {
   void set_trace_sink(obs::TraceSink* sink) override { trace_ = sink; }
 
  private:
+  void deliver(std::uint32_t slot);
+
   sim::Simulator& simulator_;
   const sim::LatencyModel& latency_;
   sim::Pcg32 rng_;
@@ -37,6 +45,9 @@ class SimTransport final : public Transport {
   std::vector<SimTime> last_delivery_;
   // channel_seq_[from * n + to]: next FIFO sequence number on the channel.
   std::vector<std::uint64_t> channel_seq_;
+  // Packets in flight, indexed by the slot their delivery event carries.
+  std::vector<Packet> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   obs::TraceSink* trace_ = nullptr;

@@ -6,18 +6,29 @@ namespace causim::sim {
 
 void Simulator::schedule_at(SimTime t, Action fn) {
   CAUSIM_CHECK(t >= now_, "scheduling into the past: " << t << " < now " << now_);
-  queue_.push(Entry{t, next_seq_++, std::move(fn)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(actions_.size());
+    actions_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    actions_[slot] = std::move(fn);
+  }
+  queue_.push(Entry{t, next_seq_++, slot});
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; the action must be moved out, so copy
-  // the handle fields and pop before running (the action may schedule more).
-  Entry e = std::move(const_cast<Entry&>(queue_.top()));
+  const Entry e = queue_.top();
   queue_.pop();
   now_ = e.time;
   ++executed_;
-  e.fn();
+  // Move the action out and free its slot first: the action may schedule
+  // more (growing the slab), and its successor can take the slot.
+  Action fn = std::move(actions_[e.slot]);
+  free_slots_.push_back(e.slot);
+  fn();
   return true;
 }
 

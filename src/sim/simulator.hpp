@@ -4,6 +4,15 @@
 // insertion order, so a run is a pure function of (schedule, seed). This is
 // the substrate that replaces the paper's wall-clock JDK/TCP testbed; see
 // DESIGN.md §1 for why the substitution preserves the reported metrics.
+//
+// The queue allocates nothing once warm. It is a binary heap of POD
+// (time, seq, slot) entries; the actions live in a recycled slab that the
+// entries index, so sifting moves 24-byte records, never a std::function.
+// A slot is released when its action starts, so an action that schedules
+// more work (the common case) reuses the slot it just vacated. Callers
+// keep their captures within std::function's inline buffer (16 bytes,
+// trivially copyable: `this` plus a slot or site id) to keep scheduling
+// allocation-free too.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +54,7 @@ class Simulator {
   struct Entry {
     SimTime time;
     std::uint64_t seq;
-    Action fn;
+    std::uint32_t slot;  // index into actions_
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -58,6 +67,8 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Action> actions_;
+  std::vector<std::uint32_t> free_slots_;  // LIFO: the hottest slot first
 };
 
 }  // namespace causim::sim

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <new>
 
 #include "causal/opt_track.hpp"
@@ -23,6 +24,7 @@
 #include "serial/writer.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
+#include "topo/topology.hpp"
 #include "workload/schedule.hpp"
 
 namespace {
@@ -349,6 +351,142 @@ TEST(SmReceipt, OptTrackSteadyStateAllocatesAtMostTwoBlocks) {
   // fresh chunk.
   EXPECT_LE(total, 2u * kReceipts);
   EXPECT_LE(most, 2u);
+}
+
+TEST(DesCore, WarmSimTransportDeliveryOfAPooledPacketAllocatesNothing) {
+  // A packet waits in the transport's slab and its delivery event captures
+  // (transport, slot), which std::function holds inline; the queue entry
+  // is a POD in a vector. Once the slab, the queue and the pool are warm,
+  // a send and its delivery touch the heap zero times.
+  sim::Simulator simulator;
+  sim::UniformLatency latency(1000, 5000);
+  net::SimTransport wire(simulator, latency, 2, 1);
+  BufferPool pool;
+  struct Recycler final : net::PacketHandler {
+    BufferPool* pool = nullptr;
+    std::uint64_t delivered = 0;
+    void on_packet(net::Packet packet) override {
+      ++delivered;
+      pool->release(std::move(packet.bytes));
+    }
+  };
+  Recycler sink;
+  sink.pool = &pool;
+  wire.attach(0, &sink);
+  wire.attach(1, &sink);
+
+  const auto round = [&] {
+    for (int i = 0; i < 64; ++i) {
+      Bytes bytes = pool.acquire();
+      bytes.assign(96, static_cast<std::uint8_t>(i));
+      wire.send(static_cast<SiteId>(i % 2), static_cast<SiteId>(1 - i % 2), std::move(bytes));
+    }
+    while (simulator.step()) {
+    }
+  };
+  round();  // warm-up: slab, queue and pool grow to the round's peak
+  round();
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 100; ++i) round();
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u) << "a warm DES delivery allocated";
+  EXPECT_EQ(sink.delivered, 102u * 64u);
+}
+
+TEST(DesCore, ReliableChannelInOrderRoundTripAllocatesOnlyWindowChunks) {
+  // Send, in-order receipt and cumulative ACK with a warm pool: frames and
+  // payload copies come from the pool, the in-order frame skips the
+  // reorder map, and the released vector is recycled. What is left is the
+  // unacked window's deque taking a fresh chunk every few frames.
+  BufferPool pool;
+  net::ReliableConfig config;
+  config.arq = net::ArqMode::kSelectiveRepeat;
+  config.adaptive_rto = true;
+  net::ReliableChannel sender(config);
+  net::ReliableChannel receiver(config);
+  sender.set_buffer_pool(&pool);
+  receiver.set_buffer_pool(&pool);
+  const Bytes payload(96, 0x5C);
+  SimTime now = 0;
+  const auto round_trip = [&] {
+    Bytes frame = sender.send(payload, now);
+    net::ReliableChannel::Ingest data = receiver.on_frame(frame, now + 1);
+    pool.release(std::move(frame));
+    EXPECT_EQ(data.released.size(), 1u);
+    for (net::ReliableChannel::Released& r : data.released) pool.release(std::move(r.payload));
+    receiver.recycle(std::move(data.released));
+    EXPECT_TRUE(sender.on_frame(data.ack, now + 2).made_progress);
+    pool.release(std::move(data.ack));
+    now += 3;
+  };
+  for (int i = 0; i < 64; ++i) round_trip();  // warm-up
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  constexpr int kFrames = 1000;
+  for (int i = 0; i < kFrames; ++i) round_trip();
+  g_counting.store(false);
+  std::cout << "reliable channel: " << g_allocations.load() << " blocks per " << kFrames
+            << " in-order frames\n";
+  EXPECT_LE(g_allocations.load(), kFrames / 8u);
+}
+
+TEST(DesCore, GeoStackBlocksPerOpStayBounded) {
+  // The geo lane's shape at 8 sites: Opt-Track-CRP over two cells, a
+  // lossy WAN under selective-repeat ARQ with adaptive RTO, batching and
+  // the gateway. Heap blocks are counted over the whole run of two
+  // schedules that differ only in length; the difference per extra op is
+  // the steady-state cost, free of set-up and warm-up. Nearly all of it is
+  // two blocks per SM receipt (the pending update and its decoded
+  // piggyback): 0.8 writes per op, each received at 7 sites.
+  const auto blocks_for = [](std::size_t ops_per_site) {
+    dsm::ClusterConfig config;
+    config.sites = 8;
+    config.variables = 100;
+    config.protocol = causal::ProtocolKind::kOptTrackCrp;
+    config.record_history = false;
+    config.seed = 1;
+    topo::LinkProfile intra;
+    topo::LinkProfile inter;
+    inter.latency_lo = inter.latency_hi = 20 * kMillisecond;
+    inter.faults.drop_rate = 0.02;
+    net::ReliableConfig wan;
+    wan.arq = net::ArqMode::kSelectiveRepeat;
+    wan.adaptive_rto = true;
+    wan.rto_initial = 100 * kMillisecond;
+    wan.rto_min = 50 * kMillisecond;
+    inter.reliable = wan;
+    config.topology = topo::Topology::blocks(config.sites, 2, intra, inter);
+    config.batch.enabled = true;
+    config.gateway.enabled = true;
+    config.gateway.max_delay = 10 * kMillisecond;
+    workload::WorkloadParams wl;
+    wl.variables = config.variables;
+    wl.write_rate = 0.8;
+    wl.gap_lo = 1 * kMillisecond;
+    wl.gap_hi = 10 * kMillisecond;
+    wl.ops_per_site = ops_per_site;
+    wl.seed = 1;
+    const workload::Schedule schedule = workload::generate_schedule(config.sites, wl);
+    dsm::Cluster cluster(config);
+    g_allocations.store(0);
+    g_counting.store(true);
+    cluster.execute(schedule);
+    g_counting.store(false);
+    return g_allocations.load();
+  };
+  constexpr std::size_t kShort = 500;
+  constexpr std::size_t kLong = 1000;
+  const std::uint64_t shorter = blocks_for(kShort);
+  const std::uint64_t longer = blocks_for(kLong);
+  ASSERT_GT(longer, shorter);
+  const double per_op =
+      static_cast<double>(longer - shorter) / static_cast<double>(8 * (kLong - kShort));
+  std::cout << "geo stack: " << per_op << " heap blocks per extra op\n";
+  // The bound is the measured value (11.98), rounded up.
+  EXPECT_LE(per_op, 12.0);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST(OptTrackCrp, WriteResetsLogToSingleEntry) {
   write_at(p, 1, &id);
   write_at(p, 2, &id);
   EXPECT_EQ(p.log_entry_count(), 1u);
-  EXPECT_EQ(p.log().at(0), 3u);
+  EXPECT_EQ(p.log(), (OptTrackCrp::Log{{0, 3}}));
 }
 
 TEST(OptTrackCrp, ReadsGrowLogByAtMostOnePerWriter) {
@@ -69,8 +69,7 @@ TEST(OptTrackCrp, SameWriterReadKeepsNewestClock) {
   a.apply(*u2);
   a.local_read(0);  // (1, clock 1)
   a.local_read(1);  // (1, clock 2) supersedes
-  ASSERT_EQ(a.log().size(), 1u);
-  EXPECT_EQ(a.log().at(1), 2u);
+  EXPECT_EQ(a.log(), (OptTrackCrp::Log{{1, 2}}));
 }
 
 TEST(OptTrackCrp, ProgramOrderGating) {
@@ -121,6 +120,30 @@ TEST(OptTrackCrp, SmMetaSizeIsOofD) {
   const auto meta = write_at(p, 1, &id);
   // count u16 + one (site u16 + clock u32) entry.
   EXPECT_EQ(meta.size(), 2u + (2u + 4u));
+}
+
+TEST(OptTrackCrp, DecodeRejectsSitesOutOfRangeOrOrder) {
+  // The encoder writes strictly increasing sites below n; the decoder
+  // fails its reader on anything else, before ready() could index Apply.
+  const auto decodes = [](std::initializer_list<std::pair<SiteId, WriteClock>> log) {
+    serial::ByteWriter meta;
+    meta.put_u16(static_cast<std::uint16_t>(log.size()));
+    for (const auto& [site, clock] : log) {
+      meta.put_site(site);
+      meta.put_clock(clock);
+    }
+    OptTrackCrp receiver(0, kN);
+    serial::ByteReader r(meta.bytes());
+    receiver.decode_sm(SmEnvelope{1, 0, Value{1, 0}, WriteId{1, 1}}, DestSet::all(kN), r);
+    return r.ok();
+  };
+  EXPECT_TRUE(decodes({}));
+  EXPECT_TRUE(decodes({{0, 1}, {1, 4}, {3, 2}}));
+  EXPECT_FALSE(decodes({{kN, 1}}));
+  EXPECT_FALSE(decodes({{99, 1}}));
+  EXPECT_FALSE(decodes({{2, 1}, {1, 1}}));
+  EXPECT_FALSE(decodes({{1, 1}, {1, 2}}));
+  EXPECT_FALSE(decodes({{0, 1}, {1, 1}, {2, 1}, {3, 1}, {3, 1}}));  // count > n
 }
 
 TEST(OptTrackCrpDeathTest, RequiresFullReplication) {

@@ -48,6 +48,14 @@ class ManualTransport final : public net::Transport {
   /// Destination of the i-th queued packet.
   SiteId to_of(std::size_t index) const { return outbox_[index].to; }
 
+  /// Removes the oldest queued packet without delivering it; its bytes go
+  /// to `bytes`.
+  void take_first(serial::Bytes* bytes) {
+    ASSERT_FALSE(outbox_.empty());
+    *bytes = std::move(outbox_.front().bytes);
+    outbox_.pop_front();
+  }
+
  private:
   std::vector<net::PacketHandler*> handlers_;
   std::deque<net::Packet> outbox_;
@@ -282,6 +290,93 @@ TEST_F(PartialRuntimeTest, CorruptSmOrRmMetaDataPanics) {
                    rm.sender, reader_, 0, rm.encode(serial::ClockWidth::k4Bytes)}),
                "corrupt RM meta-data");
 }
+
+TEST_F(SiteRuntimeTest, CrpPiggybackWithABadSiteIdPanics) {
+  // Opt-Track-CRP indexes Apply with every piggybacked site: one >= n, or
+  // sites out of the encoder's strictly increasing order (a duplicate
+  // included), make the SM corrupt instead of an out-of-range read.
+  const auto deliver_with = [this](std::initializer_list<std::pair<SiteId, WriteClock>> log) {
+    serial::ByteWriter meta;
+    meta.put_u16(static_cast<std::uint16_t>(log.size()));
+    for (const auto& [site, clock] : log) {
+      meta.put_site(site);
+      meta.put_clock(clock);
+    }
+    Envelope sm;
+    sm.kind = MessageKind::kSM;
+    sm.sender = 1;
+    sm.var = 0;
+    sm.write = WriteId{1, 1};
+    sm.meta = meta.bytes();
+    sites_[0]->on_packet(net::Packet{1, 0, 0, sm.encode(serial::ClockWidth::k4Bytes)});
+  };
+  EXPECT_DEATH(deliver_with({{99, 1}}), "corrupt SM meta-data");
+  EXPECT_DEATH(deliver_with({{2, 1}, {1, 1}}), "corrupt SM meta-data");
+  EXPECT_DEATH(deliver_with({{1, 1}, {1, 2}}), "corrupt SM meta-data");
+  // The same shape with valid ids is accepted (and waits on site 2).
+  deliver_with({{1, 0}, {2, 1}});
+  EXPECT_EQ(sites_[0]->pending_updates(), 1u);
+}
+
+class SiteIdCheckTest : public ::testing::TestWithParam<causal::ProtocolKind> {
+ protected:
+  static constexpr SiteId kN = 4;
+
+  SiteIdCheckTest() : placement_(Placement::full(kN, 8)), transport_(kN) {
+    for (SiteId i = 0; i < kN; ++i) {
+      sites_.push_back(std::make_unique<SiteRuntime>(
+          i, placement_, transport_, causal::make_protocol(GetParam(), i, kN), nullptr,
+          serial::ClockWidth::k4Bytes));
+      transport_.attach(i, sites_.back().get());
+    }
+  }
+
+  /// Hands site 0 a well-formed SM whose envelope names `sender` and
+  /// `writer` (a real write's meta-data, so only the ids are wrong).
+  void deliver_sm(SiteId sender, SiteId writer) {
+    sites_[1]->write(0, 8);
+    Envelope sm = Envelope::decode(outbox_frame(), serial::ClockWidth::k4Bytes);
+    sm.sender = sender;
+    sm.write.writer = writer;
+    sites_[0]->on_packet(net::Packet{1, 0, 0, sm.encode(serial::ClockWidth::k4Bytes)});
+  }
+
+  serial::Bytes outbox_frame() {
+    serial::Bytes frame;
+    transport_.take_first(&frame);
+    return frame;
+  }
+
+  Placement placement_;
+  ManualTransport transport_;
+  std::vector<std::unique_ptr<SiteRuntime>> sites_;
+};
+
+TEST_P(SiteIdCheckTest, EnvelopeSenderOutOfRangePanics) {
+  EXPECT_DEATH(deliver_sm(99, 1), "envelope sender 99 out of range for n=4");
+}
+
+TEST_P(SiteIdCheckTest, SmWriterOutOfRangePanics) {
+  EXPECT_DEATH(deliver_sm(1, 99), "SM writer 99 out of range for n=4");
+}
+
+TEST_P(SiteIdCheckTest, InRangeIdsAreAccepted) {
+  deliver_sm(1, 1);
+  EXPECT_EQ(sites_[0]->local_value(0).second, (WriteId{1, 1}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, SiteIdCheckTest,
+    ::testing::Values(causal::ProtocolKind::kFullTrack, causal::ProtocolKind::kOptTrack,
+                      causal::ProtocolKind::kOptTrackCrp, causal::ProtocolKind::kOptP,
+                      causal::ProtocolKind::kFullTrackHb),
+    [](const ::testing::TestParamInfo<causal::ProtocolKind>& param_info) {
+      std::string name = to_string(param_info.param);
+      for (auto& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace causim::dsm
